@@ -1,8 +1,8 @@
 GO ?= go
 
 # Packages whose concurrency matters enough to pay for -race on every run:
-# the daemon (sharded ledger + HTTP server, including the admit-timeout
-# rollback regression), the cluster federation layer (two-phase
+# the daemon (sharded ledger + HTTP server, including the regressions
+# that a timed-out or cancelled admission holds nothing), the cluster federation layer (two-phase
 # coordination + gossip, including the injected-crash and drain
 # integration tests), the observability layer (shared Observer +
 # per-endpoint stats), the span store (lock-free-looking ring buffer fed
@@ -80,10 +80,11 @@ chaos-selftest:
 # (kept or active on the promoted owner, never orphaned), and the
 # /v1/assure fan-out totals agreeing with the per-node ledgers. The
 # chaos variant additionally requires ≥1 flight-recorder snapshot whose
-# merged spans form a connected cross-node timeline (EXPERIMENTS.md E18).
-assure-selftest:
+# merged spans form a connected cross-node timeline (EXPERIMENTS.md E18);
+# it is the chaos-selftest run, taken as a prerequisite so `make ci`
+# runs the chaos schedule once.
+assure-selftest: chaos-selftest
 	$(GO) run ./cmd/rotad -selftest -cluster 3 -requests 400 -clients 4 -locations 6
-	$(GO) run ./cmd/rotad -selftest -chaos -cluster 3 -requests 150 -clients 4 -locations 6
 
 # Regenerates BENCH_PR10.json at the repo root: every benchmark's
 # ops/sec, ns/op and allocs/op, including the loaded-ledger query

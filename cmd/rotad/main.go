@@ -64,12 +64,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rotad", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	policyName := fs.String("policy", "rota", "admission policy: rota or rota-exhaustive (must be plan-producing)")
-	workers := fs.Int("workers", 0, "decision worker pool size (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "pending-decision queue depth (0 = 4x workers)")
-	timeout := fs.Duration("timeout", 2*time.Second, "per-request decision deadline")
-	admitBatch := fs.Bool("admit-batch", true, "batch concurrent admissions sharing a footprint on the hot path")
-	admitRetries := fs.Int("admit-retries", 0, "optimistic plan/validate attempts before planning under shard locks (0 = default 3)")
-	pessimisticAdmit := fs.Bool("pessimistic-admit", false, "restore the legacy plan-under-shard-locks admission path (benchmark baseline)")
+	workers := fs.Int("workers", 0, "decision slots: concurrent admission decisions (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 2*time.Second, "per-request decision deadline (slot wait + decision)")
 	locations := fs.Int("locations", 4, "number of locations in the initial availability")
 	baseRate := fs.Int64("base", 4, "cpu units/tick per location in the initial availability")
 	linkRate := fs.Int64("link", 1, "network units/tick per directed link (full mesh)")
@@ -176,18 +172,14 @@ func run(args []string, out io.Writer) error {
 	}
 
 	scfg := server.Config{
-		Policy:           policy,
-		Theta:            theta,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DecisionTimeout:  *timeout,
-		Obs:              observer,
-		Spans:            spans,
-		Assure:           asr,
-		FlightRec:        rec,
-		AdmitRetries:     *admitRetries,
-		NoAdmitBatch:     !*admitBatch,
-		PessimisticAdmit: *pessimisticAdmit,
+		Policy:          policy,
+		Theta:           theta,
+		Workers:         *workers,
+		DecisionTimeout: *timeout,
+		Obs:             observer,
+		Spans:           spans,
+		Assure:          asr,
+		FlightRec:       rec,
 	}
 
 	rpc := rpcConfig{

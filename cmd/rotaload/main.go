@@ -151,7 +151,7 @@ func run(args []string, out io.Writer) error {
 		for _, row := range []struct{ label, family string }{
 			{"scrape admitted_total", "rota_admitted_total"},
 			{"scrape rejected_total", "rota_rejected_total"},
-			{"scrape late_decisions_total", "rota_late_decisions_total"},
+			{"scrape timeouts_total", "rota_timeouts_total"},
 			{"scrape queue_depth", "rota_queue_depth"},
 			{"scrape ledger commitments", "rota_ledger_commitments"},
 			{"scrape queries_total", "rota_queries_total"},

@@ -140,11 +140,15 @@ type Node struct {
 	// installed-but-not-yet-granted location to the table epoch its
 	// install belongs to, so a final table that assigns it elsewhere
 	// (a rolled-back plan) clears the overlay AND the installed state.
+	// ownerMoved is closed and replaced at every change of this node's
+	// ownership view (table install or overlay update), so a request
+	// that found ownership moving can wait for the next change.
 	omu          sync.Mutex
 	pendingOwned map[resource.Location]uint64
 	handedOff    map[resource.Location]ownerRef
 	learned      map[resource.Location]ownerRef
 	movedKeys    map[string]ownerRef
+	ownerMoved   chan struct{}
 
 	// smu guards the warm-standby shadows gossip ships here.
 	smu         sync.Mutex
@@ -261,6 +265,7 @@ func New(cfg Config) (*Node, error) {
 		handedOff:    make(map[resource.Location]ownerRef),
 		learned:      make(map[resource.Location]ownerRef),
 		movedKeys:    make(map[string]ownerRef),
+		ownerMoved:   make(chan struct{}),
 		shadows:      make(map[resource.Location]server.LocationExport),
 		detector:     health.NewDetector(dopts),
 		autoEvict:    cfg.EvictPhi > 0,
@@ -426,7 +431,7 @@ func (n *Node) draining() bool {
 
 // Shutdown drains the node: gossip stops, in-flight coordinations abort
 // their outstanding prepares instead of leaking them, and the embedded
-// server drains its decision pool.
+// server drains its in-flight admissions.
 func (n *Node) Shutdown(ctx context.Context) error {
 	n.shutdownOnce.Do(func() { close(n.shutdownCh) })
 	done := make(chan struct{})
@@ -480,11 +485,13 @@ func (n *Node) ownersOf(dist compute.Distributed) (map[*peerState][]resource.Loc
 	return out, nil
 }
 
-// handleAdmit is the cluster-aware admission entry point: local jobs go
-// through the embedded worker pool, single-remote-owner jobs are
+// handleAdmit is the cluster-aware admission entry point: local jobs are
+// decided by the embedded server, single-remote-owner jobs are
 // forwarded to their owner, and jobs spanning owners are coordinated
 // with the two-phase protocol. Forwarded requests (peer-routed) are
-// validated again and never re-forwarded.
+// validated again and never re-forwarded. When ownership moves under a
+// request, it waits for this node's ownership view to change before
+// re-resolving, at most maxOwnerRetries times.
 func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if n.draining() {
 		httpError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting new admissions"))
@@ -504,6 +511,7 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	forwarded := r.Header.Get(headerForwarded) != ""
 	for attempt := 0; ; attempt++ {
+		moved := n.ownershipChange()
 		owners, err := n.ownersOf(job.Dist)
 		if err != nil {
 			n.misrouted.Add(1)
@@ -549,6 +557,16 @@ func (n *Node) handleAdmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusServiceUnavailable,
 				fmt.Errorf("cluster: ownership of %s's footprint kept moving, giving up after %d retries",
 					job.Dist.Name, attempt))
+			return
+		}
+		// Re-resolving now would route straight back to the owner that
+		// just refused: wait until this node's ownership view changes.
+		select {
+		case <-moved:
+		case <-r.Context().Done():
+			n.misrouted.Add(1)
+			httpError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("cluster: ownership of %s's footprint is moving: %w", job.Dist.Name, r.Context().Err()))
 			return
 		}
 	}

@@ -616,6 +616,7 @@ func (n *Node) rejoin(vias []string) {
 	n.handedOff = make(map[resource.Location]ownerRef)
 	n.learned = make(map[resource.Location]ownerRef)
 	n.movedKeys = make(map[string]ownerRef)
+	n.ownershipChangedLocked()
 	n.omu.Unlock()
 	n.flowMu.Unlock()
 	n.smu.Lock()

@@ -72,6 +72,23 @@ var errStaleOwner = errors.New("cluster: ownership moved, retry with refreshed o
 // ownership after a redirect before giving up.
 const maxOwnerRetries = 3
 
+// ownershipChange returns a channel closed at the next change of this
+// node's ownership view. Take it before resolving owners: a change that
+// lands after the resolve closes it, and one that landed before was
+// seen by the resolve.
+func (n *Node) ownershipChange() <-chan struct{} {
+	n.omu.Lock()
+	defer n.omu.Unlock()
+	return n.ownerMoved
+}
+
+// ownershipChangedLocked wakes every request waiting for an ownership
+// change. The caller holds omu.
+func (n *Node) ownershipChangedLocked() {
+	close(n.ownerMoved)
+	n.ownerMoved = make(chan struct{})
+}
+
 // Table returns the node's current membership table (tests, stats).
 func (n *Node) Table() *membership.Table { return n.reg.Snapshot() }
 
@@ -161,12 +178,14 @@ func (n *Node) redirectFor(locs []resource.Location) (membership.RedirectRespons
 // this covers the window after — a peer whose table is one epoch
 // behind forwards a job here right as the final table clears the
 // overlays, and the table itself is then the only record of where the
-// footprint went.
+// footprint went. A location installed here ahead of its table
+// (pendingOwned) is ours, whatever the older table says: redirecting it
+// would send the caller back to the owner that just handed it off.
 func (n *Node) tableRedirect(locs []resource.Location) (membership.RedirectResponse, bool) {
 	tbl := n.reg.Snapshot()
 	for _, loc := range locs {
 		id, ok := tbl.OwnerOf(loc)
-		if !ok || id == n.self.ID {
+		if !ok || id == n.self.ID || n.installedAhead(loc, tbl.Epoch) {
 			continue
 		}
 		m, ok := tbl.Member(id)
@@ -184,6 +203,15 @@ func (n *Node) tableRedirect(locs []resource.Location) (membership.RedirectRespo
 	return membership.RedirectResponse{}, false
 }
 
+// installedAhead reports whether loc was installed here for a table
+// newer than epoch.
+func (n *Node) installedAhead(loc resource.Location, epoch uint64) bool {
+	n.omu.Lock()
+	defer n.omu.Unlock()
+	ep, ok := n.pendingOwned[loc]
+	return ok && ep > epoch
+}
+
 // serveRedirect answers 421 Misdirected Request with the new owner.
 func (n *Node) serveRedirect(w http.ResponseWriter, red membership.RedirectResponse) {
 	n.redirectsServed.Add(1)
@@ -195,10 +223,15 @@ func (n *Node) serveRedirect(w http.ResponseWriter, red membership.RedirectRespo
 func (n *Node) learnRedirect(red membership.RedirectResponse) {
 	ref := ownerRef{id: red.OwnerID, url: red.OwnerURL, epoch: red.Epoch}
 	n.omu.Lock()
+	changed := false
 	for _, loc := range red.Locs {
 		if cur, ok := n.learned[loc]; !ok || red.Epoch > cur.epoch {
 			n.learned[loc] = ref
+			changed = true
 		}
+	}
+	if changed {
+		n.ownershipChangedLocked()
 	}
 	n.omu.Unlock()
 	n.redirectsFollowed.Add(1)
@@ -334,6 +367,7 @@ func (n *Node) installTable(t *membership.Table) bool {
 			delete(n.learned, loc)
 		}
 	}
+	n.ownershipChangedLocked()
 	n.omu.Unlock()
 	if len(rollback) > 0 {
 		n.srv.Ledger().DropLocations(rollback)
@@ -453,6 +487,7 @@ func (n *Node) executeHandoff(ctx context.Context, locs []resource.Location, toI
 	for _, key := range moved {
 		n.movedKeys[key] = ref
 	}
+	n.ownershipChangedLocked()
 	n.omu.Unlock()
 	n.handoffs.Add(1)
 	sp.Attr("moved_keys", len(moved))
@@ -507,6 +542,7 @@ func (n *Node) promoteLocal(ctx context.Context, locs []resource.Location, epoch
 		delete(n.handedOff, loc)
 		delete(n.learned, loc)
 	}
+	n.ownershipChangedLocked()
 	n.omu.Unlock()
 	if misses > 0 {
 		n.shadowMisses.Add(uint64(misses))
@@ -920,6 +956,7 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 		delete(n.handedOff, loc)
 		delete(n.learned, loc)
 	}
+	n.ownershipChangedLocked()
 	n.omu.Unlock()
 	n.obs.Log("membership.install", "node", n.self.ID, "locations", len(locs))
 	writeJSON(w, http.StatusOK, map[string]any{"installed": len(locs)})

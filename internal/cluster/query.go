@@ -188,6 +188,7 @@ func (n *Node) fanoutQuery(ctx context.Context, c *query.Compiled) (server.Query
 	for attempt := 0; ; attempt++ {
 		// Resolve owners per attempt: a 421 consumed below refreshes the
 		// learned overlay, so the retry routes to the new owner.
+		moved := n.ownershipChange()
 		byOwner := make(map[*peerState][]resource.Location)
 		for _, loc := range footprint {
 			if ref, ok := n.lookupOwner(loc); ok {
@@ -219,6 +220,11 @@ func (n *Node) fanoutQuery(ctx context.Context, c *query.Compiled) (server.Query
 		}
 		if attempt >= maxOwnerRetries {
 			return server.QueryResponse{}, errStaleOwner
+		}
+		select {
+		case <-moved:
+		case <-ctx.Done():
+			return server.QueryResponse{}, fmt.Errorf("%w: %w", errStaleOwner, ctx.Err())
 		}
 	}
 	snap := query.Snapshot{

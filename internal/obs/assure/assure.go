@@ -339,8 +339,8 @@ func (l *Ledger) Transfer(job string) {
 }
 
 // Drop forgets an active promise without classifying it — for rollback
-// paths (a late decision undone, a 2PC abort of a just-committed key)
-// where the admission itself is being unwound.
+// paths (a 2PC abort of a just-committed key) where the admission
+// itself is being unwound.
 func (l *Ledger) Drop(job string) {
 	if l == nil {
 		return

@@ -47,7 +47,6 @@ var statFamilies = map[string]string{
 	"released":            "rota_released_total",
 	"errors":              "rota_errors_total",
 	"timed_out":           "rota_timeouts_total",
-	"late_decisions":      "rota_late_decisions_total",
 	"queue_depth":         "rota_queue_depth",
 	"in_flight":           "rota_inflight_decisions",
 	"holds":               "rota_ledger_holds",

@@ -102,10 +102,9 @@ func benchAdmitLoop(b *testing.B, l *Ledger, fpLocs []resource.Location, conc in
 	}
 }
 
-// BenchmarkAdmitHot measures the admission decide+reserve loop:
-// mode=locked is the pre-PR pessimistic plan-under-shard-locks path,
-// mode=hot the optimistic batched path. The acceptance bar is hot ≥ 2×
-// locked throughput at conc=64 on a single shard.
+// BenchmarkAdmitHot measures the admission decide+reserve loop on the
+// optimistic batched path. The mode=hot prefix keeps the cell names of
+// earlier perf ledgers, whose mode=locked baseline no longer exists.
 func BenchmarkAdmitHot(b *testing.B) {
 	type cell struct{ locs, commits, conc int }
 	cells := []cell{
@@ -113,25 +112,16 @@ func BenchmarkAdmitHot(b *testing.B) {
 		{3, 100, 1}, {3, 100, 8}, {3, 100, 64},
 		{1, 10, 64}, {1, 1000, 64},
 	}
-	for _, mode := range []string{"locked", "hot"} {
-		for _, c := range cells {
-			name := fmt.Sprintf("mode=%s/locs=%d/commits=%d/conc=%d", mode, c.locs, c.commits, c.conc)
-			b.Run(name, func(b *testing.B) {
-				l, locs := benchAdmitLedger(b, c.locs, c.commits)
-				if mode == "locked" {
-					// The pre-PR baseline: plan under the shard locks with
-					// dirty-on-mutation free views (recomputed and cloned
-					// on every admission).
-					l.SetAdmitTuning(0, false, true)
-					l.noPatch.Store(true)
-				}
-				fp := locs
-				if c.locs == 1 {
-					fp = locs[:1]
-				}
-				benchAdmitLoop(b, l, fp, c.conc)
-			})
-		}
+	for _, c := range cells {
+		name := fmt.Sprintf("mode=hot/locs=%d/commits=%d/conc=%d", c.locs, c.commits, c.conc)
+		b.Run(name, func(b *testing.B) {
+			l, locs := benchAdmitLedger(b, c.locs, c.commits)
+			fp := locs
+			if c.locs == 1 {
+				fp = locs[:1]
+			}
+			benchAdmitLoop(b, l, fp, c.conc)
+		})
 	}
 }
 

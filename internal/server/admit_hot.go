@@ -18,9 +18,9 @@ import (
 // The admission hot path: optimistic epoch-validated planning plus
 // per-footprint batching of the reserve phase.
 //
-// The legacy path ran the Theorem-4 witness-plan search while holding
-// every footprint shard's lock, so concurrent admits to one location
-// serialized on the (expensive) plan search. Here each admission:
+// Running the Theorem-4 witness-plan search while holding every
+// footprint shard's lock would serialize concurrent admits to one
+// location on the (expensive) plan search. Instead each admission:
 //
 //  1. snapshots — locks the footprint shards just long enough to read
 //     the cached free view and each shard's mutation version;
@@ -31,17 +31,21 @@ import (
 //     construction: the planner only emits plans that fit the view it
 //     searched) or, when a concurrent mutation moved the versions, if
 //     the plan's demand still fits the current free view. A miss
-//     replans from a fresh snapshot, bounded by admitRetries, before a
-//     final attempt that plans under the locks (the legacy path, which
-//     cannot conflict).
+//     replans from a fresh snapshot, bounded by defaultAdmitRetries,
+//     before a final attempt that plans under the locks (runLocked,
+//     which cannot conflict).
 //
-// Soundness is unchanged from the lock-holding path: a reservation is
-// only ever applied after a fit check (version-unchanged or explicit
-// dominance) made under the shard locks, so Θ dominates reserved at
-// every step — Theorem 4's no-overcommitment invariant is enforced at
-// reserve time exactly as before; optimism only moves the *search*
-// outside the critical section, and a stale plan costs a retry, never
-// an overcommit.
+// Soundness does not depend on the optimism: a reservation is only ever
+// applied after a fit check (version-unchanged or explicit dominance)
+// made under the shard locks, so Θ dominates reserved at every step —
+// Theorem 4's no-overcommitment invariant is enforced at reserve time;
+// optimism only moves the *search* outside the critical section, and a
+// stale plan costs a retry, never an overcommit.
+//
+// The same critical section checks each work's context immediately
+// before reserving: a work whose requester has stopped waiting is
+// settled with an error wrapping ctx.Err() instead, so a verdict always
+// means a live reservation and a timed-out requester holds nothing.
 //
 // Batching: concurrent admissions whose footprints name the same
 // location set combine their validate-and-reserve phases — the first
@@ -154,9 +158,9 @@ func locsKey(locs []resource.Location) string {
 }
 
 // admitHot routes one claimed admission through the hot path and blocks
-// until its outcome is decided. Like the legacy path it does not abort
-// on ctx cancellation mid-decision — the server's worker claim CAS
-// rolls back late outcomes — so every admission is always decided.
+// until its outcome is decided. A plan search already running when ctx
+// ends is not interrupted, but no reservation is made after that: the
+// work settles with an error wrapping ctx.Err().
 func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job workload.Job, now interval.Time, locs []resource.Location, claim *commitment) (admission.Decision, error) {
 	w := &admitWork{
 		ctx:    ctx,
@@ -168,13 +172,13 @@ func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job work
 		lead:   make(chan struct{}, 1),
 	}
 	l.hot.batchedJobs.Add(1)
-	if l.pessimistic {
-		l.runLocked(locs, w)
-		out := <-w.done
-		return out.dec, out.err
-	}
-
-	for attempt := 0; attempt <= l.admitRetries; attempt++ {
+	for attempt := 0; attempt <= defaultAdmitRetries; attempt++ {
+		if w.ctx.Err() != nil {
+			// No point planning for a requester that stopped waiting.
+			err := w.abandoned()
+			l.settle(w, admission.Decision{}, err)
+			return admission.Decision{}, err
+		}
 		free, vers, err := l.snapshotFree(locs)
 		if err != nil {
 			l.settle(w, admission.Decision{}, err)
@@ -188,15 +192,9 @@ func (l *Ledger) admitHot(ctx context.Context, policy admission.Policy, job work
 			return out.dec, out.err
 		}
 		if l.testPostPlanHook != nil {
-			l.testPostPlanHook()
+			l.testPostPlanHook(w.ctx, w.job.Dist.Name)
 		}
-		var out admitOutcome
-		if l.noBatch {
-			l.validateBatch(locs, []*admitWork{w}, attempt)
-			out = <-w.done
-		} else {
-			out = l.submitToGroup(locs, w, attempt)
-		}
+		out := l.submitToGroup(locs, w, attempt)
 		if !out.retry {
 			return out.dec, out.err
 		}
@@ -371,15 +369,16 @@ func splitDemand(w *admitWork, locs []resource.Location, demand resource.Set) er
 // planned works and applies each plan that is still valid: either no
 // shard's version moved since that work's snapshot (the plan fits by
 // construction), or its demand still fits the current free view. Works
-// whose plans no longer fit receive a retry outcome and replan; the
-// rest are reserved and finalized under one epoch bump.
+// whose plans no longer fit receive a retry outcome and replan; works
+// whose context has ended are settled unreserved; the rest are reserved
+// and finalized under one epoch bump.
 func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, attempt int) {
 	l.hot.batches.Add(1)
 	spans := l.startReserveSpans(batch, len(locs), attempt)
 	shards, unlock := l.lockedShards(locs)
 	// Ownership can shrink between the claim and this point (a
-	// concurrent handoff): re-check under the shard locks, as the
-	// legacy path did.
+	// concurrent handoff): re-check under the shard locks, as
+	// runLocked does.
 	if err := l.checkOwned(locs); err != nil {
 		unlock()
 		l.endReserveSpans(spans, span.StatusError)
@@ -389,7 +388,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 		return
 	}
 	admitted := batch[:0:0]
-	var conflicted []*admitWork
+	var conflicted, abandoned []*admitWork
 	for i, w := range batch {
 		fits, err := l.fitsLocked(shards, w)
 		if err != nil {
@@ -399,6 +398,7 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 			for _, cw := range conflicted {
 				cw.done <- admitOutcome{retry: true}
 			}
+			l.settleAbandoned(abandoned)
 			l.finalizeBatch(locs, admitted)
 			l.settle(w, admission.Decision{}, err)
 			for _, rest := range batch[i+1:] {
@@ -408,7 +408,13 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 		}
 		if !fits {
 			spans[i].SetStatus(span.StatusReject)
+			spans[i].SetProvenance(conflictProvenance())
 			conflicted = append(conflicted, w)
+			continue
+		}
+		if w.ctx.Err() != nil {
+			spans[i].SetStatus(span.StatusError)
+			abandoned = append(abandoned, w)
 			continue
 		}
 		for _, sh := range shards {
@@ -423,7 +429,19 @@ func (l *Ledger) validateBatch(locs []resource.Location, batch []*admitWork, att
 	for _, w := range conflicted {
 		w.done <- admitOutcome{retry: true}
 	}
+	l.settleAbandoned(abandoned)
 	l.finalizeBatch(locs, admitted)
+}
+
+// conflictProvenance explains a conflicted reserve span: the plan was
+// decided against a free view that has since moved and no longer fits,
+// so the work replans rather than being refused.
+func conflictProvenance() *span.Provenance {
+	return &span.Provenance{
+		Stage:      "capacity",
+		Constraint: "free-view",
+		Detail:     "plan no longer fits the shard's current free view; replanning",
+	}
 }
 
 // fitsLocked reports whether a planned work still fits. Fast path: if
@@ -492,11 +510,10 @@ func (l *Ledger) endReserveSpans(spans []*span.Span, status string) {
 	}
 }
 
-// runLocked is the pessimistic path: plan while holding the shard
-// locks, exactly like the pre-optimistic ledger. It decides the work
-// unconditionally — the view cannot move under the locks, so there is
-// nothing to conflict with. Used as the bounded-retry fallback and, via
-// SetAdmitTuning(pessimistic), as the benchmark baseline.
+// runLocked is the bounded-retry fallback: plan while holding the shard
+// locks. It decides the work unconditionally — the view cannot move
+// under the locks, so there is nothing to conflict with — which is what
+// bounds an admission's retries without giving up soundness.
 func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 	l.hot.batches.Add(1)
 	shards, unlock := l.lockedShards(locs)
@@ -513,24 +530,19 @@ func (l *Ledger) runLocked(locs []resource.Location, w *admitWork) {
 			l.settle(w, admission.Decision{}, fmt.Errorf("server: shard %s invariant broken: %w", sh.loc, err))
 			return
 		}
-		if len(shards) == 1 && !l.noPatch.Load() {
+		if len(shards) == 1 {
 			free = part // read-only share of the cached view; no clone
 		} else {
 			free = free.PatchUnion(part)
 		}
 	}
-	if l.noPatch.Load() {
-		// Legacy-baseline fidelity: the pre-incremental path cloned the
-		// merged view (Union) and Decide re-derived free capacity from
-		// the transient state on every admission. Re-pay that cost here
-		// so benchmarks compare against what the old path actually did.
-		st := core.State{Theta: free, Now: w.now}
-		if refree, err := st.FreeResources(); err == nil {
-			free = refree
-		}
-	}
 	if !l.planOne(w, locs, free, nil, 0) {
 		unlock()
+		return
+	}
+	if w.ctx.Err() != nil {
+		unlock()
+		l.settle(w, admission.Decision{}, w.abandoned())
 		return
 	}
 	spans := l.startReserveSpans([]*admitWork{w}, len(shards), 0)
@@ -573,6 +585,20 @@ func (l *Ledger) finalizeBatch(locs []resource.Location, admitted []*admitWork) 
 	}
 	for _, w := range admitted {
 		w.done <- admitOutcome{dec: w.dec}
+	}
+}
+
+// abandoned is the error a work settles with when its context ended
+// before a reservation was made.
+func (w *admitWork) abandoned() error {
+	return fmt.Errorf("server: admission of %s abandoned before reserving: %w", w.job.Dist.Name, w.ctx.Err())
+}
+
+// settleAbandoned settles works whose context ended before they were
+// reserved: their claims are dropped and nothing is held for them.
+func (l *Ledger) settleAbandoned(works []*admitWork) {
+	for _, w := range works {
+		l.settle(w, admission.Decision{}, w.abandoned())
 	}
 }
 

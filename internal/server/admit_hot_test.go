@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -144,36 +145,6 @@ func TestBatchedAdmitNoOvercommit(t *testing.T) {
 	}
 }
 
-// The same 64-way squeeze through the pessimistic (plan-under-locks)
-// baseline must reach the same verdict counts — the two paths are
-// semantically interchangeable.
-func TestPessimisticAdmitSameVerdicts(t *testing.T) {
-	l := NewLedger(cpuTheta(1, 64, "l1"), 0)
-	l.SetAdmitTuning(0, false, true)
-	policy := &admission.Rota{}
-	var wg sync.WaitGroup
-	var admitted atomic.Int64
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dec, err := l.Admit(policy, cpuJob(t, fmt.Sprintf("j%d", i), "l1", 0, 64))
-			if err != nil {
-				t.Errorf("j%d: %v", i, err)
-				return
-			}
-			if dec.Admit {
-				admitted.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if admitted.Load() != 8 {
-		t.Fatalf("admitted=%d, want 8", admitted.Load())
-	}
-	mustAudit(t, l)
-}
-
 // A snapshot conflict — capacity mutated between plan and validate so
 // the plan no longer fits — must retry and replan, not overcommit and
 // not spuriously reject. The hook reserves the window the first plan
@@ -185,7 +156,7 @@ func TestOptimisticConflictRetriesAndReplans(t *testing.T) {
 	var synthetic resource.Set
 	synthetic.Add(resource.NewTerm(u(1), resource.CPUAt("l1"), interval.New(0, 16)))
 	var fired atomic.Bool
-	l.testPostPlanHook = func() {
+	l.testPostPlanHook = func(context.Context, string) {
 		if !fired.CompareAndSwap(false, true) {
 			return
 		}
@@ -392,30 +363,77 @@ func TestBatchedRejectKeepsReason(t *testing.T) {
 	mustAudit(t, l)
 }
 
-// Disabling batching must not change verdicts, only grouping.
-func TestNoBatchTuning(t *testing.T) {
-	l := NewLedger(cpuTheta(1, 64, "l1"), 0)
-	l.SetAdmitTuning(1, true, false)
+// An admission whose context ends after planning must never reserve: 32
+// racing admits on one footprint, every other one cancelled by the hook
+// between plan and validate. Cancelled calls return context.Canceled
+// and hold nothing; the rest reach a verdict; capacity is never
+// exceeded and the ledger audits clean.
+func TestAdmitCancelledAfterPlanHoldsNothing(t *testing.T) {
+	l := NewLedger(cpuTheta(1, 64, "l1"), 0) // room for 8 cpuJobs
+	const n = 32
+	ctxs := make(map[string]context.Context, n)
+	cancelAfterPlan := make(map[string]context.CancelFunc, n/2)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("j%d", i)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ctxs[name] = ctx
+		if i%2 == 1 {
+			cancelAfterPlan[name] = cancel
+		}
+	}
+	l.testPostPlanHook = func(_ context.Context, job string) {
+		if cancel, ok := cancelAfterPlan[job]; ok {
+			cancel()
+		}
+	}
+
 	policy := &admission.Rota{}
+	jobs := make([]workload.Job, n)
+	for i := range jobs {
+		jobs[i] = cpuJob(t, fmt.Sprintf("j%d", i), "l1", 0, 64)
+	}
+	decs := make([]admission.Decision, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	var admitted atomic.Int64
-	for i := 0; i < 16; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			dec, err := l.Admit(policy, cpuJob(t, fmt.Sprintf("j%d", i), "l1", 0, 64))
-			if err != nil {
-				t.Errorf("j%d: %v", i, err)
-				return
-			}
-			if dec.Admit {
-				admitted.Add(1)
-			}
+			decs[i], errs[i] = l.AdmitCtx(ctxs[jobs[i].Dist.Name], policy, jobs[i])
 		}(i)
 	}
 	wg.Wait()
-	if admitted.Load() != 8 {
-		t.Fatalf("admitted=%d, want 8", admitted.Load())
+
+	admitted := 0
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("j%d", i)
+		_, held := l.Commitment(name)
+		if ctxs[name].Err() != nil {
+			if !errors.Is(errs[i], context.Canceled) {
+				t.Errorf("%s: cancelled after planning, got %+v, %v; want context.Canceled", name, decs[i], errs[i])
+			}
+			if held {
+				t.Errorf("%s: cancelled call holds a reservation", name)
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Errorf("%s: %v, want a verdict", name, errs[i])
+			continue
+		}
+		if decs[i].Admit != held {
+			t.Errorf("%s: admit=%v but held=%v", name, decs[i].Admit, held)
+		}
+		if decs[i].Admit {
+			admitted++
+		}
+	}
+	if admitted > 8 {
+		t.Errorf("admitted %d, capacity is 8", admitted)
+	}
+	if got := l.NumCommitments(); got != admitted {
+		t.Errorf("commitments = %d, want %d", got, admitted)
 	}
 	mustAudit(t, l)
 }

@@ -1,7 +1,8 @@
 // Package server implements rotad, the ROTA admission-control daemon: a
-// live resource ledger sharded by location, a bounded worker pool that
-// runs Theorem-4 admission decisions against it, and an HTTP JSON API
-// (admit / release / acquire / advance / query / stats).
+// live resource ledger sharded by location, Theorem-4 admission decisions
+// run against it on the request goroutine behind a bounded set of
+// decision slots, and an HTTP JSON API (admit / release / acquire /
+// advance / query / stats).
 //
 // The ledger realizes the paper's committed path online: every admitted
 // computation's witness plan is reserved against the shard(s) whose
@@ -84,10 +85,6 @@ type shard struct {
 	ver uint64
 	// hot points at the ledger's shared hot-path counters.
 	hot *hotCounters
-	// noPatch points at the ledger's legacy-mode flag: when set, every
-	// mutation drops the cached free view (the pre-incremental behavior)
-	// instead of patching it. Benchmark baseline only.
-	noPatch *atomic.Bool
 }
 
 // freeView returns the shard's free availability (θ minus reserved),
@@ -116,18 +113,6 @@ func (sh *shard) dirty() {
 	sh.ver++
 }
 
-// legacyDirty drops the cache instead of patching when the ledger runs
-// in the pre-incremental recompute mode (the benchmark baseline), and
-// reports whether it did. The caller must hold sh.mu and must not have
-// bumped ver yet (dirty does).
-func (sh *shard) legacyDirty() bool {
-	if sh.noPatch == nil || !sh.noPatch.Load() {
-		return false
-	}
-	sh.dirty()
-	return true
-}
-
 // patched records an incremental free-view patch (counter only).
 func (sh *shard) patched() {
 	if sh.hot != nil {
@@ -143,9 +128,6 @@ func (sh *shard) patched() {
 // rather than ever serving a wrong cache.
 func (sh *shard) applyReserve(part resource.Set) {
 	sh.reserved.AddSet(part)
-	if sh.legacyDirty() {
-		return
-	}
 	sh.ver++
 	if !sh.freeOK {
 		return
@@ -168,9 +150,6 @@ func (sh *shard) applyRelease(part resource.Set) error {
 		return err
 	}
 	sh.reserved = freed
-	if sh.legacyDirty() {
-		return nil
-	}
 	sh.ver++
 	if sh.freeOK {
 		sh.free = sh.free.PatchUnion(part)
@@ -183,9 +162,6 @@ func (sh *shard) applyRelease(part resource.Set) error {
 // cached free view (free′ = free ∪ part). The caller must hold sh.mu.
 func (sh *shard) applyAcquire(part resource.Set) {
 	sh.theta.AddSet(part)
-	if sh.legacyDirty() {
-		return
-	}
 	sh.ver++
 	if sh.freeOK {
 		sh.free = sh.free.PatchUnion(part)
@@ -203,9 +179,6 @@ func (sh *shard) applyTrim(to interval.Time) {
 	sh.theta.TrimBefore(to)
 	sh.reserved.TrimBefore(to)
 	sh.now = to
-	if sh.legacyDirty() {
-		return
-	}
 	sh.ver++
 	if sh.freeOK {
 		sh.free = sh.free.TrimmedBefore(to)
@@ -276,29 +249,17 @@ type Ledger struct {
 	// patches vs recomputes), surfaced in /v1/stats.
 	hot hotCounters
 
-	// Admission hot-path tuning (SetAdmitTuning, set before traffic):
-	// admitRetries bounds the optimistic plan/validate attempts before
-	// falling back to planning under the shard locks; noBatch disables
-	// the per-footprint combining stage; pessimistic routes every admit
-	// through the legacy plan-under-locks path (the benchmark baseline).
-	admitRetries int
-	noBatch      bool
-	pessimistic  bool
-	// noPatch restores the pre-incremental free-view behavior (every
-	// mutation drops the cache; admission re-derives and clones the
-	// free view like the legacy path did). Benchmark baseline only —
-	// combined with pessimistic it reproduces the pre-PR admit path.
-	noPatch atomic.Bool
-
 	// groups are the per-footprint admission batching queues (see
 	// admit_hot.go); batchMu guards the map and every group's members.
 	batchMu sync.Mutex
 	groups  map[string]*admitGroup
 
 	// testPostPlanHook, when non-nil, runs between the optimistic plan
-	// phase and validation — tests inject a conflicting mutation here to
-	// exercise the retry path deterministically. Never set in production.
-	testPostPlanHook func()
+	// phase and validation with the admission's context and job name —
+	// tests inject a conflicting mutation or end the context here to
+	// exercise the retry and abandon paths deterministically. Never set
+	// in production.
+	testPostPlanHook func(ctx context.Context, job string)
 }
 
 // NewLedger builds a ledger from the initial availability Θ at time now.
@@ -310,28 +271,14 @@ func NewLedger(theta resource.Set, now interval.Time) *Ledger {
 		committedKeys: make(map[string]string),
 		heldNames:     make(map[string]string),
 		groups:        make(map[string]*admitGroup),
-		admitRetries:  defaultAdmitRetries,
 	}
 	l.now.Store(now)
 	trimmed := theta.Clone()
 	trimmed.TrimBefore(now)
 	for loc, part := range splitByShard(trimmed) {
-		l.shards[loc] = &shard{loc: loc, theta: part, now: now, hot: &l.hot, noPatch: &l.noPatch}
+		l.shards[loc] = &shard{loc: loc, theta: part, now: now, hot: &l.hot}
 	}
 	return l
-}
-
-// SetAdmitTuning configures the admission hot path: retries bounds the
-// optimistic plan/validate attempts (≤0 keeps the default), noBatch
-// disables per-footprint batching, and pessimistic restores the legacy
-// plan-under-locks path (the benchmark baseline). Intended to be called
-// once, before the ledger serves traffic.
-func (l *Ledger) SetAdmitTuning(retries int, noBatch, pessimistic bool) {
-	if retries > 0 {
-		l.admitRetries = retries
-	}
-	l.noBatch = noBatch
-	l.pessimistic = pessimistic
 }
 
 // SetObserver attaches the observability sink for ledger-level events.
@@ -425,7 +372,7 @@ func (l *Ledger) lockedShards(locs []resource.Location) ([]*shard, func()) {
 		prev = loc
 		sh, ok := l.shards[loc]
 		if !ok {
-			sh = &shard{loc: loc, now: l.now.Load(), hot: &l.hot, noPatch: &l.noPatch}
+			sh = &shard{loc: loc, now: l.now.Load(), hot: &l.hot}
 			l.shards[loc] = sh
 		}
 		shards = append(shards, sh)
@@ -448,7 +395,7 @@ func (l *Ledger) shardFor(loc resource.Location) *shard {
 	l.mu.Lock()
 	sh, ok := l.shards[loc]
 	if !ok {
-		sh = &shard{loc: loc, now: l.now.Load(), hot: &l.hot, noPatch: &l.noPatch}
+		sh = &shard{loc: loc, now: l.now.Load(), hot: &l.hot}
 		l.shards[loc] = sh
 	}
 	l.mu.Unlock()
@@ -578,8 +525,12 @@ func (l *Ledger) Admit(policy admission.Policy, job workload.Job) (admission.Dec
 // outside the shard locks, concurrent admits sharing a footprint are
 // batched, and the reservation revalidates the snapshot version (or the
 // plan's fit) before committing — so plan search never serializes a
-// shard. SetAdmitTuning(pessimistic) restores the legacy
-// plan-under-locks path.
+// shard.
+//
+// Nothing is reserved once ctx has ended: the check runs under the shard
+// locks immediately before each reservation, and a job whose requester
+// stopped waiting returns an error wrapping ctx.Err() with its claim
+// abandoned. A non-nil error therefore never leaves a reservation behind.
 func (l *Ledger) AdmitCtx(ctx context.Context, policy admission.Policy, job workload.Job) (admission.Decision, error) {
 	now := l.Now()
 	if now >= job.Dist.Deadline {

@@ -34,12 +34,10 @@ func (s *Server) CollectMetrics(e *obs.Exposition) {
 	e.Counter("rota_released_total", "Commitments released via the API.", nil, float64(st.Released))
 	e.Counter("rota_errors_total", "Requests that failed before a verdict.", nil, float64(st.Errors))
 	e.Counter("rota_timeouts_total", "Admissions that exceeded the decision deadline.", nil, float64(st.TimedOut))
-	e.Counter("rota_late_decisions_total", "Decisions completed after their requester timed out (admits rolled back).", nil, float64(st.LateDecisions))
 
-	e.Gauge("rota_queue_depth", "Decisions waiting for a worker.", nil, float64(st.QueueDepth))
-	e.Gauge("rota_queue_capacity", "Decision queue capacity.", nil, float64(cap(s.queue)))
-	e.Gauge("rota_inflight_decisions", "Decisions currently mid-search in the worker pool.", nil, float64(st.InFlight))
-	e.Gauge("rota_workers", "Decision worker pool size.", nil, float64(s.cfg.Workers))
+	e.Gauge("rota_queue_depth", "Admissions waiting for a decision slot.", nil, float64(st.QueueDepth))
+	e.Gauge("rota_inflight_decisions", "Admissions holding a decision slot (deciding).", nil, float64(st.InFlight))
+	e.Gauge("rota_workers", "Decision slots: the bound on concurrent admission decisions.", nil, float64(s.cfg.Workers))
 
 	tp := st.TwoPhase
 	e.Counter("rota_twophase_total", "Two-phase participant operations served, by op.", obs.L("op", "prepare"), float64(tp.Prepares))
@@ -56,7 +54,7 @@ func (s *Server) CollectMetrics(e *obs.Exposition) {
 	e.Counter("rota_free_view_patches_total", "Incremental free-view cache patches applied.", nil, float64(ah.FreePatches))
 	e.Counter("rota_free_view_recomputes_total", "Full free-view recomputes (theta minus reserved).", nil, float64(ah.FreeRecomputes))
 
-	e.Summary("rota_decision_latency_us", "Worker-side decision service time (ledger lock + policy) in microseconds.", nil, s.latencyUS.Summary())
+	e.Summary("rota_decision_latency_us", "Decision service time once a slot is held (ledger + policy) in microseconds.", nil, s.latencyUS.Summary())
 
 	q := st.Query
 	e.Counter("rota_queries_total", "One-shot temporal queries evaluated.", nil, float64(q.Queries))

@@ -6,26 +6,26 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
-// TestAdmitTimeoutRollsBackLateDecision is the regression test for the
-// admit-timeout reservation leak: a decision that completes after its
-// requester was told "timed out" must be rolled back, not left as a
-// live commitment nobody knows about.
-func TestAdmitTimeoutRollsBackLateDecision(t *testing.T) {
+// TestAdmitTimeoutHoldsNothing is the regression test for the
+// admit-timeout reservation leak: a request whose deadline passes
+// mid-decision is answered 503 and must hold nothing — the ledger
+// refuses to reserve once the request context has ended.
+func TestAdmitTimeoutHoldsNothing(t *testing.T) {
 	srv, err := New(Config{Theta: cpuTheta(4, 1000, "l1"), Workers: 1, DecisionTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := make(chan struct{})
-	srv.testDecideHook = func(job workload.Job) {
-		if job.Dist.Name == "slow" {
-			<-block // hold the worker until the requester has timed out
+	var blocked atomic.Bool
+	srv.ledger.testPostPlanHook = func(ctx context.Context, job string) {
+		if job == "slow" && blocked.CompareAndSwap(false, true) {
+			<-ctx.Done() // hold the planned job past its decision deadline
 		}
 	}
 	ts := httptest.NewServer(srv)
@@ -38,31 +38,22 @@ func TestAdmitTimeoutRollsBackLateDecision(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("blocked admit returned %d (%s), want 503 timeout", resp.StatusCode, body)
 	}
-	close(block) // let the worker finish its now-abandoned decision
-
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().LateDecisions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("late decision never recorded: %+v", srv.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 	st := srv.Stats()
 	if st.TimedOut != 1 {
 		t.Fatalf("timed_out = %d, want 1", st.TimedOut)
 	}
 	if st.Commitments != 0 {
-		t.Fatalf("late-admitted reservation leaked: %d live commitments", st.Commitments)
+		t.Fatalf("timed-out admit holds a reservation: %d live commitments", st.Commitments)
 	}
 	if err := srv.Ledger().Audit(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The name is free again: the same job admits cleanly, which it
-	// could not if the abandoned reservation were still on the ledger.
+	// could not if the timed-out claim were still on the ledger.
 	resp, body = postBody(t, ts.URL+"/v1/admit", admitBody(t, cpuJob(t, "slow", "l1", 0, 1000)))
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"admit":true`) {
-		t.Fatalf("re-admit after rollback: %d %s", resp.StatusCode, body)
+		t.Fatalf("re-admit after timeout: %d %s", resp.StatusCode, body)
 	}
 }
 
@@ -89,11 +80,12 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]float64{
-		"rota_admitted_total":       1,
-		"rota_decisions_total":      1,
-		"rota_ledger_commitments":   1,
-		"rota_ledger_shards":        1,
-		"rota_late_decisions_total": 0,
+		"rota_admitted_total":     1,
+		"rota_decisions_total":    1,
+		"rota_ledger_commitments": 1,
+		"rota_ledger_shards":      1,
+		"rota_queue_depth":        0,
+		"rota_inflight_decisions": 0,
 	} {
 		if got, ok := m[key]; !ok || got != want {
 			t.Errorf("scraped %s = %v, %v; want %v", key, got, ok, want)

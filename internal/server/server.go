@@ -36,14 +36,14 @@ type Config struct {
 	Theta resource.Set
 	// Now is the initial ledger clock.
 	Now interval.Time
-	// Workers bounds concurrent admission decisions; default GOMAXPROCS.
+	// Workers bounds concurrent admission decisions: an admit holds one
+	// of Workers decision slots from plan search to verdict. Default
+	// GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds decisions waiting for a worker; default
-	// 4×Workers. When the queue is full, admits block (backpressure)
-	// until their deadline.
-	QueueDepth int
-	// DecisionTimeout is the per-request deadline covering queue wait
-	// plus decision time; default 2s.
+	// DecisionTimeout is the per-request deadline covering the slot wait
+	// and the decision; default 2s. A plan search already running when it
+	// passes finishes first, then the ledger refuses to reserve and the
+	// admit is answered 503 with nothing held.
 	DecisionTimeout time.Duration
 	// MaxBodyBytes bounds request bodies; default 1 MiB.
 	MaxBodyBytes int64
@@ -61,10 +61,6 @@ type Config struct {
 	// recorded as a span and served by GET /debug/rota/trace/{id}. Nil
 	// disables span tracing.
 	Spans *span.Store
-	// AdmitRetries bounds the optimistic plan/validate attempts on the
-	// admission hot path before falling back to planning under the shard
-	// locks; ≤0 keeps the ledger default (3).
-	AdmitRetries int
 	// Assure is the deadline-assurance promise ledger: every admitted
 	// job's promised window is tracked to a terminal outcome and served
 	// on GET /v1/assure. Nil disables promise tracking.
@@ -73,12 +69,6 @@ type Config struct {
 	// frozen into snapshots when a trigger fires, served under
 	// GET /debug/rota/flightrec. Nil disables snapshot capture.
 	FlightRec *flightrec.Recorder
-	// NoAdmitBatch disables the per-footprint batching of concurrent
-	// admissions (each admit still runs the optimistic path alone).
-	NoAdmitBatch bool
-	// PessimisticAdmit restores the legacy plan-under-locks admission
-	// path — the benchmark baseline, not for production use.
-	PessimisticAdmit bool
 }
 
 func (c *Config) fill() error {
@@ -93,9 +83,6 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.DecisionTimeout <= 0 {
 		c.DecisionTimeout = 2 * time.Second
 	}
@@ -105,32 +92,7 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// decideTask is one admission decision in flight through the worker pool.
-type decideTask struct {
-	ctx      context.Context
-	job      workload.Job
-	done     chan decideResult
-	trace    string
-	enqueued time.Time
-	// claimed settles the race between a worker delivering a verdict and
-	// the handler giving up on a timed-out request: whoever wins the CAS
-	// owns the outcome. A worker that loses rolls back any reservation it
-	// just made, so a client told "timed out" never silently holds
-	// resources.
-	claimed atomic.Bool
-}
-
-// claim attempts to take ownership of the task's outcome.
-func (t *decideTask) claim() bool {
-	return t.claimed.CompareAndSwap(false, true)
-}
-
-type decideResult struct {
-	dec admission.Decision
-	err error
-}
-
-// Server is the rotad daemon core: ledger + worker pool + HTTP handler.
+// Server is the rotad daemon core: ledger + decision slots + HTTP handler.
 // Create with New, serve via the http.Handler interface, stop with
 // Shutdown.
 type Server struct {
@@ -138,25 +100,27 @@ type Server struct {
 	ledger *Ledger
 	mux    *http.ServeMux
 
-	queue    chan *decideTask
-	workerWg sync.WaitGroup
+	// slots is the decision semaphore: an admit sends to take a slot and
+	// receives to give it back, so len(slots) is the number deciding.
+	// waiting counts admits blocked on a slot — the only admission queue,
+	// and a visible one (queue_depth).
+	slots   chan struct{}
+	waiting atomic.Int64
 
-	// drainMu serializes the draining flag against task enqueues: admits
-	// hold it shared for check-and-enqueue, Shutdown exclusively to flip
-	// the flag, so no task can slip in after the drain begins.
+	// drainMu serializes the draining flag against admits entering:
+	// admits hold it shared for check-and-register, Shutdown exclusively
+	// to flip the flag, so no admit can slip in after the drain begins.
 	drainMu  sync.RWMutex
 	draining bool
 	inflight sync.WaitGroup
 
-	started       time.Time
-	admitted      atomic.Uint64
-	rejected      atomic.Uint64
-	errored       atomic.Uint64
-	timedOut      atomic.Uint64
-	released      atomic.Uint64
-	lateDecisions atomic.Uint64
-	inflightDecs  atomic.Int64
-	latencyUS     *metrics.Histogram
+	started   time.Time
+	admitted  atomic.Uint64
+	rejected  atomic.Uint64
+	errored   atomic.Uint64
+	timedOut  atomic.Uint64
+	released  atomic.Uint64
+	latencyUS *metrics.Histogram
 
 	obs       *obs.Observer
 	httpStats map[string]*obs.EndpointStats
@@ -171,15 +135,10 @@ type Server struct {
 	queryLatencyUS *metrics.Histogram
 	webhookMu      sync.Mutex
 	webhooks       map[uint64]*query.Subscription
-
-	// testDecideHook, when non-nil, runs in the worker between the
-	// queue-drop check and the ledger admission — test instrumentation
-	// for provoking the late-decision race deterministically.
-	testDecideHook func(job workload.Job)
 }
 
-// New builds and starts a daemon core (worker pool running, no listener —
-// the caller attaches it to an http.Server or httptest).
+// New builds a daemon core (no listener — the caller attaches it to an
+// http.Server or httptest).
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -187,7 +146,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg,
 		ledger:         NewLedger(cfg.Theta, cfg.Now),
-		queue:          make(chan *decideTask, cfg.QueueDepth),
+		slots:          make(chan struct{}, cfg.Workers),
 		started:        time.Now(),
 		latencyUS:      metrics.NewHistogram(),
 		queryLatencyUS: metrics.NewHistogram(),
@@ -198,7 +157,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Owned != nil {
 		s.ledger.RestrictOwned(cfg.Owned)
 	}
-	s.ledger.SetAdmitTuning(cfg.AdmitRetries, cfg.NoAdmitBatch, cfg.PessimisticAdmit)
 	s.ledger.SetObserver(cfg.Obs)
 	s.ledger.SetSpanStore(cfg.Spans)
 	s.ledger.SetAssure(cfg.Assure)
@@ -229,10 +187,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("POST /v1/cluster/commit", "cluster.commit", s.handleCommit)
 	s.route("POST /v1/cluster/abort", "cluster.abort", s.handleAbort)
 	s.route("GET /v1/cluster/free", "cluster.free", s.handleFree)
-	for i := 0; i < cfg.Workers; i++ {
-		s.workerWg.Add(1)
-		go s.worker()
-	}
 	return s, nil
 }
 
@@ -282,78 +236,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// worker drains the decision queue. The pool bounds how many Theorem-4
-// searches run at once regardless of how many requests are in flight.
-func (s *Server) worker() {
-	defer s.workerWg.Done()
-	for task := range s.queue {
-		if task.ctx.Err() != nil {
-			// The requester gave up while the task sat in the queue.
-			s.inflight.Done()
-			continue
-		}
-		if s.testDecideHook != nil {
-			s.testDecideHook(task.job)
-		}
-		s.inflightDecs.Add(1)
-		start := time.Now()
-		span.FromContext(task.ctx).Attr("queue_wait_us", start.Sub(task.enqueued).Microseconds())
-		dec, err := s.ledger.AdmitCtx(task.ctx, s.cfg.Policy, task.job)
-		decided := time.Since(start)
-		s.inflightDecs.Add(-1)
-		if err == nil {
-			// Only genuine verdicts feed the decision-latency histogram;
-			// duplicate names and internal errors never reach a verdict.
-			s.latencyUS.Observe(float64(decided.Microseconds()))
-		}
-		if err == nil && dec.Admit {
-			s.obs.Log("ledger.reserve",
-				"trace", task.trace,
-				"job", task.job.Dist.Name,
-				"finish", dec.Plan.Finish,
-				"deadline", task.job.Dist.Deadline)
-		}
-		if task.claim() {
-			task.done <- decideResult{dec: dec, err: err}
-		} else {
-			// The handler already told the client "timed out". A verdict
-			// delivered now would be a silent resource leak: roll back the
-			// reservation the client will never learn about.
-			s.lateDecisions.Add(1)
-			rolledBack := false
-			if err == nil && dec.Admit {
-				// The admission is being unwound, not honored: drop the
-				// promise before the release so it isn't counted kept.
-				s.cfg.Assure.Drop(task.job.Dist.Name)
-				rolledBack = s.ledger.Release(task.job.Dist.Name) == nil
-			}
-			s.obs.Log("admit.late_decision",
-				"trace", task.trace,
-				"job", task.job.Dist.Name,
-				"admit", err == nil && dec.Admit,
-				"rolled_back", rolledBack,
-				"decision_us", decided.Microseconds(),
-				"queue_wait_us", start.Sub(task.enqueued).Microseconds())
-		}
-		if thr := s.obs.SlowThreshold(); thr > 0 && decided >= thr {
-			s.traceSlowDecision(task, dec, err, start.Sub(task.enqueued), decided)
-		}
-		s.inflight.Done()
-	}
-}
-
 // traceSlowDecision logs a decision that exceeded the slow threshold:
-// the job, its resource footprint, and per-phase timings (queue wait vs
-// ledger lock + policy search).
-func (s *Server) traceSlowDecision(task *decideTask, dec admission.Decision, err error, queued, decided time.Duration) {
-	locs := footprint(core.ConcurrentAt(task.job.Dist, s.ledger.Now()))
+// the job, its resource footprint, and per-phase timings (slot wait vs
+// ledger + policy search).
+func (s *Server) traceSlowDecision(trace string, job workload.Job, dec admission.Decision, err error, queued, decided time.Duration) {
+	locs := footprint(core.ConcurrentAt(job.Dist, s.ledger.Now()))
 	parts := make([]string, len(locs))
 	for i, loc := range locs {
 		parts[i] = string(loc)
 	}
 	s.obs.Log("admit.slow_decision",
-		"trace", task.trace,
-		"job", task.job.Dist.Name,
+		"trace", trace,
+		"job", job.Dist.Name,
 		"footprint", strings.Join(parts, ","),
 		"admit", err == nil && dec.Admit,
 		"queue_wait_us", queued.Microseconds(),
@@ -363,8 +257,8 @@ func (s *Server) traceSlowDecision(task *decideTask, dec admission.Decision, err
 }
 
 // Shutdown gracefully stops the daemon: new admissions are rejected
-// immediately, queued and running decisions finish (bounded by ctx), then
-// the worker pool exits. Safe to call once.
+// immediately and admissions already entered finish (bounded by ctx).
+// Safe to call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()
 	already := s.draining
@@ -383,28 +277,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("server: drain interrupted: %w", ctx.Err())
 	}
-	close(s.queue)
-	s.workerWg.Wait()
 	s.queries.Close()
 	return nil
 }
 
-// submit enqueues a decision unless the daemon is draining. It returns
-// false when draining.
-func (s *Server) submit(task *decideTask) bool {
+// enter registers an admission with the drain unless the daemon is
+// draining; it returns false when draining. The caller must call
+// s.inflight.Done once the admission is answered.
+func (s *Server) enter() bool {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if s.draining {
 		return false
 	}
 	s.inflight.Add(1)
-	select {
-	case s.queue <- task:
-		return true
-	case <-task.ctx.Done():
-		s.inflight.Done()
-		return true // enqueued-or-expired; caller sees the ctx error
-	}
+	return true
 }
 
 // API request/response bodies.
@@ -459,12 +346,9 @@ type StatsResponse struct {
 	Released  uint64 `json:"released"`
 	Errors    uint64 `json:"errors"`
 	TimedOut  uint64 `json:"timed_out"`
-	// LateDecisions counts decisions that completed after their requester
-	// had already been told "timed out"; admitted ones are rolled back.
-	LateDecisions uint64 `json:"late_decisions"`
 
-	// QueueDepth and InFlight are point-in-time gauges of the worker
-	// pool: decisions waiting for a worker and decisions mid-search.
+	// QueueDepth and InFlight are point-in-time gauges of the decision
+	// slots: admissions waiting for a slot and admissions holding one.
 	QueueDepth int64 `json:"queue_depth"`
 	InFlight   int64 `json:"in_flight"`
 
@@ -477,8 +361,8 @@ type StatsResponse struct {
 	// retries and fallbacks, and free-view cache patches vs recomputes.
 	AdmitHot AdmitHotCounters `json:"admit_hot"`
 
-	// DecisionLatencyUS digests worker-side decision service time
-	// (ledger lock + policy) in microseconds.
+	// DecisionLatencyUS digests decision service time once a slot is
+	// held (ledger + policy) in microseconds.
 	DecisionLatencyUS LatencyStats `json:"decision_latency_us"`
 
 	// Spans digests the span store: ring-buffer bound, live records, and
@@ -567,8 +451,9 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusBadRequest, err)
 }
 
-// admitDecide runs a validated job through the worker pool and writes
-// the verdict. sctx carries the request's admit span.
+// admitDecide decides a validated job on the request goroutine, holding
+// one decision slot, and writes the verdict. sctx carries the request's
+// admit span.
 func (s *Server) admitDecide(w http.ResponseWriter, sctx context.Context, adSpan *span.Span, job workload.Job) {
 	adSpan.Attr("job", job.Dist.Name)
 	adSpan.Attr("deadline", job.Dist.Deadline)
@@ -576,81 +461,103 @@ func (s *Server) admitDecide(w http.ResponseWriter, sctx context.Context, adSpan
 	ctx, cancel := context.WithTimeout(sctx, s.cfg.DecisionTimeout)
 	defer cancel()
 	trace := obs.Trace(sctx)
-	task := &decideTask{ctx: ctx, job: job, done: make(chan decideResult, 1),
-		trace: trace, enqueued: time.Now()}
-	if !s.submit(task) {
+	if !s.enter() {
 		adSpan.SetStatus(span.StatusError)
 		httpError(w, http.StatusServiceUnavailable, errors.New("server: draining, not accepting new admissions"))
 		return
 	}
+	defer s.inflight.Done()
 
-	deliver := func(res decideResult) {
-		if res.err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(res.err, ErrDuplicate) {
-				status = http.StatusConflict
-			}
-			s.errored.Add(1)
-			s.obs.Log("admit.error", "trace", trace, "job", job.Dist.Name, "error", res.err)
-			adSpan.SetStatus(span.StatusError)
-			adSpan.Attr("error", res.err)
-			httpError(w, status, res.err)
+	enqueued := time.Now()
+	s.waiting.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+		s.waiting.Add(-1)
+	case <-ctx.Done():
+		s.waiting.Add(-1)
+		s.admitTimedOut(w, adSpan, trace, job)
+		return
+	}
+	start := time.Now()
+	queued := start.Sub(enqueued)
+	adSpan.Attr("queue_wait_us", queued.Microseconds())
+	dec, err := s.ledger.AdmitCtx(ctx, s.cfg.Policy, job)
+	decided := time.Since(start)
+	<-s.slots
+	if thr := s.obs.SlowThreshold(); thr > 0 && decided >= thr {
+		s.traceSlowDecision(trace, job, dec, err, queued, decided)
+	}
+
+	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			// The deadline passed mid-decision and the ledger refused to
+			// reserve: the client is told "timed out" and holds nothing.
+			s.admitTimedOut(w, adSpan, trace, job)
 			return
 		}
-		if res.dec.Admit {
-			s.admitted.Add(1)
-		} else {
-			s.rejected.Add(1)
+		status := http.StatusInternalServerError
+		if errors.Is(err, ErrDuplicate) {
+			status = http.StatusConflict
 		}
-		s.obs.Log("admit.decision",
+		s.errored.Add(1)
+		s.obs.Log("admit.error", "trace", trace, "job", job.Dist.Name, "error", err)
+		adSpan.SetStatus(span.StatusError)
+		adSpan.Attr("error", err)
+		httpError(w, status, err)
+		return
+	}
+	// Only genuine verdicts feed the decision-latency histogram; duplicate
+	// names, internal errors and timeouts never reach a verdict.
+	s.latencyUS.Observe(float64(decided.Microseconds()))
+	if dec.Admit {
+		s.admitted.Add(1)
+		s.obs.Log("ledger.reserve",
 			"trace", trace,
 			"job", job.Dist.Name,
-			"admit", res.dec.Admit,
-			"reason", res.dec.Reason,
-			"deadline", job.Dist.Deadline,
-			"decision_us", res.dec.Elapsed.Microseconds())
-		resp := AdmitResponse{
-			Job:       job.Dist.Name,
-			Admit:     res.dec.Admit,
-			Reason:    res.dec.Reason,
-			Deadline:  job.Dist.Deadline,
-			ElapsedUS: res.dec.Elapsed.Microseconds(),
-		}
-		adSpan.Attr("admit", res.dec.Admit)
-		if res.dec.Admit {
-			if res.dec.Plan != nil {
-				resp.Finish = res.dec.Plan.Finish
-				adSpan.Attr("finish", res.dec.Plan.Finish)
-			}
-		} else {
-			resp.Provenance = span.Classify(res.dec.Reason)
-			adSpan.SetStatus(span.StatusReject)
-			adSpan.SetProvenance(resp.Provenance)
-		}
-		writeJSON(w, http.StatusOK, resp)
+			"finish", dec.Plan.Finish,
+			"deadline", job.Dist.Deadline)
+	} else {
+		s.rejected.Add(1)
 	}
+	s.obs.Log("admit.decision",
+		"trace", trace,
+		"job", job.Dist.Name,
+		"admit", dec.Admit,
+		"reason", dec.Reason,
+		"deadline", job.Dist.Deadline,
+		"decision_us", dec.Elapsed.Microseconds())
+	resp := AdmitResponse{
+		Job:       job.Dist.Name,
+		Admit:     dec.Admit,
+		Reason:    dec.Reason,
+		Deadline:  job.Dist.Deadline,
+		ElapsedUS: dec.Elapsed.Microseconds(),
+	}
+	adSpan.Attr("admit", dec.Admit)
+	if dec.Admit {
+		if dec.Plan != nil {
+			resp.Finish = dec.Plan.Finish
+			adSpan.Attr("finish", dec.Plan.Finish)
+		}
+	} else {
+		resp.Provenance = span.Classify(dec.Reason)
+		adSpan.SetStatus(span.StatusReject)
+		adSpan.SetProvenance(resp.Provenance)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
 
-	select {
-	case res := <-task.done:
-		deliver(res)
-	case <-ctx.Done():
-		if !task.claim() {
-			// A worker won the race and is delivering (or has delivered)
-			// a verdict; honour it rather than reporting a timeout for a
-			// decision that was actually made.
-			deliver(<-task.done)
-			return
-		}
-		// The claim guarantees the worker sees the abandonment and rolls
-		// back any reservation it completes late.
-		s.timedOut.Add(1)
-		adSpan.SetStatus(span.StatusError)
-		adSpan.Attr("error", "decision timeout")
-		s.obs.Log("admit.timeout", "trace", trace, "job", job.Dist.Name,
-			"timeout_ms", s.cfg.DecisionTimeout.Milliseconds())
-		httpError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("server: decision for %s exceeded %v", job.Dist.Name, s.cfg.DecisionTimeout))
-	}
+// admitTimedOut answers an admission whose deadline passed before it
+// reached a verdict — waiting for a slot, or mid-decision with the
+// ledger refusing to reserve. Either way nothing is held.
+func (s *Server) admitTimedOut(w http.ResponseWriter, adSpan *span.Span, trace string, job workload.Job) {
+	s.timedOut.Add(1)
+	adSpan.SetStatus(span.StatusError)
+	adSpan.Attr("error", "decision timeout")
+	s.obs.Log("admit.timeout", "trace", trace, "job", job.Dist.Name,
+		"timeout_ms", s.cfg.DecisionTimeout.Milliseconds())
+	httpError(w, http.StatusServiceUnavailable,
+		fmt.Errorf("server: decision for %s exceeded %v", job.Dist.Name, s.cfg.DecisionTimeout))
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -730,9 +637,8 @@ func (s *Server) Stats() StatsResponse {
 		Released:          s.released.Load(),
 		Errors:            s.errored.Load(),
 		TimedOut:          s.timedOut.Load(),
-		LateDecisions:     s.lateDecisions.Load(),
-		QueueDepth:        int64(len(s.queue)),
-		InFlight:          s.inflightDecs.Load(),
+		QueueDepth:        s.waiting.Load(),
+		InFlight:          int64(len(s.slots)),
 		Holds:             s.ledger.NumHolds(),
 		TwoPhase:          s.ledger.TwoPhase(),
 		AdmitHot:          s.ledger.AdmitHot(),
