@@ -31,8 +31,10 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Fails when a stat field surfaced by /v1/stats has no counterpart
-# family in the Prometheus exposition (see internal/obs/lint_test.go).
+# Fails when a stat field surfaced by /v1/stats has no metric tag, when
+# a tag names a family the live exposition does not emit, when one
+# scrape repeats a sample, or when a span kind or attribute is
+# undocumented (see internal/obs/lint_test.go).
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' -count=1 ./internal/obs/
 

@@ -1261,32 +1261,32 @@ func (n *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
 
 // ClusterCounters digests this node's federation-layer activity.
 type ClusterCounters struct {
-	Forwarded       uint64 `json:"forwarded"`
-	Misrouted       uint64 `json:"misrouted"`
-	Coordinations   uint64 `json:"coordinations"`
-	CoordAdmitted   uint64 `json:"coord_admitted"`
-	CoordRejected   uint64 `json:"coord_rejected"`
-	CoordFailed     uint64 `json:"coord_failed"`
-	InjectedCrashes uint64 `json:"injected_crashes"`
-	Migrations      uint64 `json:"migrations"`
-	Releases        uint64 `json:"releases"`
+	Forwarded       uint64 `json:"forwarded" metric:"counter,rota_cluster_forwarded_total,Single-owner admissions relayed to the owning peer."`
+	Misrouted       uint64 `json:"misrouted" metric:"counter,rota_cluster_misrouted_total,Forwarded admissions refused because this node does not own the footprint."`
+	Coordinations   uint64 `json:"coordinations" metric:"counter,rota_cluster_coordinations_total,Two-phase federated admissions coordinated by this node."`
+	CoordAdmitted   uint64 `json:"coord_admitted" metric:"counter,rota_cluster_coord_admitted_total,Federated admissions that committed on every owner."`
+	CoordRejected   uint64 `json:"coord_rejected" metric:"counter,rota_cluster_coord_rejected_total,Federated admissions rejected on capacity."`
+	CoordFailed     uint64 `json:"coord_failed" metric:"counter,rota_cluster_coord_failed_total,Federated admissions that failed on protocol or transport errors."`
+	InjectedCrashes uint64 `json:"injected_crashes" metric:"counter,rota_cluster_injected_crashes_total,Simulated coordinator crashes (test instrumentation)."`
+	Migrations      uint64 `json:"migrations" metric:"counter,rota_cluster_migrations_total,Commitments re-homed onto another node (make-before-break)."`
+	Releases        uint64 `json:"releases" metric:"counter,rota_cluster_releases_total,Cluster-wide releases fanned out from this node."`
 	// FanoutQueries counts temporal queries answered against merged
 	// remote free views (all-local queries delegate to the server layer).
-	FanoutQueries uint64 `json:"fanout_queries"`
+	FanoutQueries uint64 `json:"fanout_queries" metric:"counter,rota_cluster_fanout_queries_total,Temporal queries answered against merged remote free views."`
 
 	// Dynamic-membership counters. MembershipEpoch is the table version
 	// this node currently routes by; Joins/Leaves count changes this node
 	// stewarded, Handoffs/Promotions ownership moves it executed.
-	MembershipEpoch   uint64 `json:"membership_epoch"`
-	Joins             uint64 `json:"joins"`
-	Leaves            uint64 `json:"leaves"`
-	Handoffs          uint64 `json:"handoffs"`
-	Promotions        uint64 `json:"promotions"`
-	RedirectsServed   uint64 `json:"redirects_served"`
-	RedirectsFollowed uint64 `json:"redirects_followed"`
-	TableApplies      uint64 `json:"table_applies"`
-	ShadowShips       uint64 `json:"shadow_ships"`
-	ShadowMisses      uint64 `json:"shadow_misses"`
+	MembershipEpoch   uint64 `json:"membership_epoch" metric:"gauge,rota_cluster_membership_epoch,Ownership-table epoch this node currently routes by."`
+	Joins             uint64 `json:"joins" metric:"counter,rota_cluster_joins_total,Membership joins stewarded by this node."`
+	Leaves            uint64 `json:"leaves" metric:"counter,rota_cluster_leaves_total,Membership leaves stewarded by this node."`
+	Handoffs          uint64 `json:"handoffs" metric:"counter,rota_cluster_handoffs_total,Make-before-break ownership handoffs executed with this node as source."`
+	Promotions        uint64 `json:"promotions" metric:"counter,rota_cluster_promotions_total,Standby promotions executed on this node (failover)."`
+	RedirectsServed   uint64 `json:"redirects_served" metric:"counter,rota_cluster_redirects_served_total,421 ownership redirects answered for handed-off locations."`
+	RedirectsFollowed uint64 `json:"redirects_followed" metric:"counter,rota_cluster_redirects_followed_total,421 ownership redirects this node consumed and learned from."`
+	TableApplies      uint64 `json:"table_applies" metric:"counter,rota_cluster_table_applies_total,Newer membership tables installed (steward, broadcast, or anti-entropy)."`
+	ShadowShips       uint64 `json:"shadow_ships" metric:"counter,rota_cluster_shadow_ships_total,Warm-standby shadow shipments sent to rendezvous runners-up."`
+	ShadowMisses      uint64 `json:"shadow_misses" metric:"counter,rota_cluster_shadow_misses_total,Locations promoted empty because no shadow had arrived."`
 
 	// Self-healing counters. AutoEvictions counts quorum-agreed
 	// force-leaves this node stewarded with no operator involvement;
@@ -1295,15 +1295,13 @@ type ClusterCounters struct {
 	// applied membership plans this node finished or rolled back for a
 	// dead steward; FencedGossip counts 421s served to evicted senders;
 	// SuspectedPeers is the current number of peers at Suspect or worse.
-	AutoEvictions  uint64 `json:"auto_evictions"`
-	Rejoins        uint64 `json:"rejoins"`
-	IntentRepairs  uint64 `json:"intent_repairs"`
-	FencedGossip   uint64 `json:"fenced_gossip"`
-	SuspectedPeers uint64 `json:"suspected_peers"`
+	AutoEvictions  uint64 `json:"auto_evictions" metric:"counter,rota_cluster_auto_evictions_total,Quorum-agreed automatic force-leaves stewarded by this node."`
+	Rejoins        uint64 `json:"rejoins" metric:"counter,rota_cluster_rejoins_total,Fence-triggered drop-and-rejoin cycles performed by this node after eviction."`
+	IntentRepairs  uint64 `json:"intent_repairs" metric:"counter,rota_cluster_intent_repairs_total,Dead stewards' partially applied membership plans finished or rolled back by this node."`
+	FencedGossip   uint64 `json:"fenced_gossip" metric:"counter,rota_cluster_fenced_gossip_total,Gossip messages answered 421 because the sender was evicted (epoch fence)."`
+	SuspectedPeers uint64 `json:"suspected_peers" metric:"gauge,rota_cluster_suspected_peers,Peers the failure detector currently holds at Suspect or worse."`
 
-	CoordLatencyMeanUS float64 `json:"coord_latency_mean_us"`
-	CoordLatencyP50US  float64 `json:"coord_latency_p50_us"`
-	CoordLatencyP99US  float64 `json:"coord_latency_p99_us"`
+	CoordLatencyUS metrics.HistogramSummary `json:"coord_latency_us" metric:"summary,rota_cluster_coordination_latency_us,End-to-end federated admission latency in microseconds (free view through commit)."`
 }
 
 // RPCConfig surfaces the peer-RPC tunables actually in effect (flags or
@@ -1329,7 +1327,6 @@ type NodeStats struct {
 
 // Stats returns the node's combined digest.
 func (n *Node) Stats() NodeStats {
-	lat := n.coordLatency.Summary()
 	return NodeStats{
 		StatsResponse: n.srv.Stats(),
 		Node:          n.self.ID,
@@ -1341,34 +1338,32 @@ func (n *Node) Stats() NodeStats {
 			BackoffCapMS:  n.client.backoffCap.Milliseconds(),
 		},
 		Cluster: ClusterCounters{
-			Forwarded:          n.forwarded.Load(),
-			Misrouted:          n.misrouted.Load(),
-			Coordinations:      n.coordinations.Load(),
-			CoordAdmitted:      n.coordAdmitted.Load(),
-			CoordRejected:      n.coordRejected.Load(),
-			CoordFailed:        n.coordFailed.Load(),
-			InjectedCrashes:    n.crashes.Load(),
-			Migrations:         n.migrations.Load(),
-			Releases:           n.releases.Load(),
-			FanoutQueries:      n.fanouts.Load(),
-			MembershipEpoch:    n.reg.Epoch(),
-			Joins:              n.joins.Load(),
-			Leaves:             n.leaves.Load(),
-			Handoffs:           n.handoffs.Load(),
-			Promotions:         n.promotions.Load(),
-			RedirectsServed:    n.redirectsServed.Load(),
-			RedirectsFollowed:  n.redirectsFollowed.Load(),
-			TableApplies:       n.tableApplies.Load(),
-			ShadowShips:        n.shadowShips.Load(),
-			ShadowMisses:       n.shadowMisses.Load(),
-			AutoEvictions:      n.autoEvictions.Load(),
-			Rejoins:            n.rejoins.Load(),
-			IntentRepairs:      n.intentRepairs.Load(),
-			FencedGossip:       n.fencedGossip.Load(),
-			SuspectedPeers:     n.suspectedNow.Load(),
-			CoordLatencyMeanUS: lat.Mean,
-			CoordLatencyP50US:  lat.P50,
-			CoordLatencyP99US:  lat.P99,
+			Forwarded:         n.forwarded.Load(),
+			Misrouted:         n.misrouted.Load(),
+			Coordinations:     n.coordinations.Load(),
+			CoordAdmitted:     n.coordAdmitted.Load(),
+			CoordRejected:     n.coordRejected.Load(),
+			CoordFailed:       n.coordFailed.Load(),
+			InjectedCrashes:   n.crashes.Load(),
+			Migrations:        n.migrations.Load(),
+			Releases:          n.releases.Load(),
+			FanoutQueries:     n.fanouts.Load(),
+			MembershipEpoch:   n.reg.Epoch(),
+			Joins:             n.joins.Load(),
+			Leaves:            n.leaves.Load(),
+			Handoffs:          n.handoffs.Load(),
+			Promotions:        n.promotions.Load(),
+			RedirectsServed:   n.redirectsServed.Load(),
+			RedirectsFollowed: n.redirectsFollowed.Load(),
+			TableApplies:      n.tableApplies.Load(),
+			ShadowShips:       n.shadowShips.Load(),
+			ShadowMisses:      n.shadowMisses.Load(),
+			AutoEvictions:     n.autoEvictions.Load(),
+			Rejoins:           n.rejoins.Load(),
+			IntentRepairs:     n.intentRepairs.Load(),
+			FencedGossip:      n.fencedGossip.Load(),
+			SuspectedPeers:    n.suspectedNow.Load(),
+			CoordLatencyUS:    n.coordLatency.Summary(),
 		},
 		Peers: n.peerStatuses(),
 	}

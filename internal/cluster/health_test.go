@@ -194,10 +194,16 @@ func TestAutoEvictionOnSilence(t *testing.T) {
 	if _, ok := standby.Server().Ledger().Commitment("evict-seed"); !ok {
 		t.Fatal("committed reservation lost in automatic failover")
 	}
+	// The steward counts the eviction only after broadcasting the table
+	// that drops the victim, so the table can be seen before the count.
 	var evictions uint64
-	for _, nd := range survivors {
-		evictions += nd.Stats().Cluster.AutoEvictions
-	}
+	waitFor(t, 5*time.Second, "auto eviction counted", func() bool {
+		evictions = 0
+		for _, nd := range survivors {
+			evictions += nd.Stats().Cluster.AutoEvictions
+		}
+		return evictions >= 1
+	})
 	if evictions != 1 {
 		t.Fatalf("auto evictions = %d, want exactly 1 (deterministic steward election)", evictions)
 	}

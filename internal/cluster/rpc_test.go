@@ -77,7 +77,10 @@ func TestRPCNoRetryAfterCallerGone(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newRPCClient(rpcOptions{timeout: time.Second, retries: 5}, nil, nil)
+	// A multi-second backoff keeps the second attempt far behind the 5 ms
+	// cancel, however loaded the host: the cancel is seen at the
+	// post-attempt check or mid-backoff, never after another attempt.
+	c := newRPCClient(rpcOptions{timeout: time.Second, retries: 5, backoffBase: 5 * time.Second}, nil, nil)
 	err := c.call(ctx, http.MethodGet, ts.URL, nil, nil, nil, nil)
 	if err == nil {
 		t.Fatal("call succeeded against a 500ing peer")

@@ -56,13 +56,13 @@ type Snapshot struct {
 
 // Stats is the counter block surfaced under /v1/stats "flightrec".
 type Stats struct {
-	Snapshots        int    `json:"flight_snapshots"`
-	SnapshotCapacity int    `json:"flight_snapshot_capacity"`
-	Triggers         uint64 `json:"flight_triggers"`
-	Deduped          uint64 `json:"flight_triggers_deduped"`
-	Evicted          uint64 `json:"flight_snapshots_evicted"`
-	Events           int    `json:"flight_events_buffered"`
-	EventCapacity    int    `json:"flight_event_capacity"`
+	Snapshots        int    `json:"flight_snapshots" metric:"gauge,rota_flightrec_snapshots,Flight-recorder snapshots currently held."`
+	SnapshotCapacity int    `json:"flight_snapshot_capacity" metric:"gauge,rota_flightrec_snapshot_capacity,Flight-recorder snapshot ring bound."`
+	Triggers         uint64 `json:"flight_triggers" metric:"counter,rota_flightrec_triggers_total,Anomaly triggers fired (including deduplicated ones)."`
+	Deduped          uint64 `json:"flight_triggers_deduped" metric:"counter,rota_flightrec_triggers_deduped_total,Triggers suppressed by the per-kind dedup window."`
+	Evicted          uint64 `json:"flight_snapshots_evicted" metric:"counter,rota_flightrec_snapshots_evicted_total,Snapshots evicted to keep the ring within its bound."`
+	Events           int    `json:"flight_events_buffered" metric:"gauge,rota_flightrec_events_buffered,Log lines currently in the flight-recorder ring."`
+	EventCapacity    int    `json:"flight_event_capacity" metric:"gauge,rota_flightrec_event_capacity,Flight-recorder event ring bound."`
 }
 
 const (

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -21,151 +22,49 @@ import (
 	"repro/internal/workload"
 )
 
-// The metrics lint: every exported stat field the JSON API surfaces must
-// have a counterpart family in the live Prometheus exposition. Adding a
-// field to StatsResponse / TwoPhaseCounters / ClusterCounters without
-// teaching CollectMetrics (and this mapping) about it fails here — which
-// is the point: /v1/stats and /metrics may never drift apart.
-
-// recurse marks a nested struct whose fields are linted individually.
-const recurse = "<recurse>"
-
-// statFamilies maps each stat's JSON tag to its exposition family. A
-// summary family covers all the scalar digests derived from the same
-// histogram.
-var statFamilies = map[string]string{
-	// server.StatsResponse
-	"uptime_seconds":      "rota_uptime_seconds",
-	"build":               recurse,
-	"now":                 "rota_ledger_now",
-	"ledger_epoch":        "rota_ledger_epoch",
-	"shards":              "rota_ledger_shards",
-	"commitments":         "rota_ledger_commitments",
-	"decisions":           "rota_decisions_total",
-	"admitted":            "rota_admitted_total",
-	"rejected":            "rota_rejected_total",
-	"released":            "rota_released_total",
-	"errors":              "rota_errors_total",
-	"timed_out":           "rota_timeouts_total",
-	"queue_depth":         "rota_queue_depth",
-	"in_flight":           "rota_inflight_decisions",
-	"holds":               "rota_ledger_holds",
-	"two_phase":           recurse,
-	"admit_hot":           recurse,
-	"decision_latency_us": "rota_decision_latency_us",
-	"spans":               recurse,
-	"query":               recurse,
-	"assure":              recurse,
-	"flightrec":           recurse,
-	// server.BuildInfo
-	"go_version":     "rota_build_info",
-	"module_path":    "rota_build_info",
-	"module_version": "rota_build_info",
-	// assure.Stats
-	"promises_active":           "rota_assure_active_promises",
-	"promises_kept":             "rota_assure_promises_total",
-	"promises_violated":         "rota_assure_promises_total",
-	"promises_orphaned":         "rota_assure_promises_total",
-	"promises_evicted_with_job": "rota_assure_promises_total",
-	"promises_transferred":      "rota_assure_promises_total",
-	"slo_attainment":            "rota_assure_attainment",
-	"violation_burn_rate":       "rota_assure_burn_rate",
-	"slack_at_admit_ticks":      "rota_assure_slack_at_admit_ticks",
-	"slack_at_completion_ticks": "rota_assure_slack_at_completion_ticks",
-	// flightrec.Stats
-	"flight_snapshots":         "rota_flightrec_snapshots",
-	"flight_snapshot_capacity": "rota_flightrec_snapshot_capacity",
-	"flight_triggers":          "rota_flightrec_triggers_total",
-	"flight_triggers_deduped":  "rota_flightrec_triggers_deduped_total",
-	"flight_snapshots_evicted": "rota_flightrec_snapshots_evicted_total",
-	"flight_events_buffered":   "rota_flightrec_events_buffered",
-	"flight_event_capacity":    "rota_flightrec_event_capacity",
-	// server.AdmitHotCounters
-	"batches":         "rota_admit_batches_total",
-	"batched_jobs":    "rota_admit_batched_jobs_total",
-	"plan_retries":    "rota_admit_plan_retries_total",
-	"plan_fallbacks":  "rota_admit_plan_fallbacks_total",
-	"free_patches":    "rota_free_view_patches_total",
-	"free_recomputes": "rota_free_view_recomputes_total",
-	// server.QueryStats
-	"queries":          "rota_queries_total",
-	"epoch":            "rota_ledger_epoch",
-	"subscriptions":    recurse,
-	"query_latency_us": "rota_query_latency_us",
-	// query.ManagerStats
-	"active_subscriptions": "rota_query_subscriptions",
-	"evals":                "rota_query_evals_total",
-	"eval_errors":          "rota_query_eval_errors_total",
-	"flips":                "rota_query_flips_total",
-	"delivered":            "rota_query_events_delivered_total",
-	"drops":                "rota_query_drops_total",
-	"webhook_errors":       "rota_query_webhook_errors_total",
-	// span.Stats
-	"capacity": "rota_span_store_capacity",
-	"live":     "rota_spans_live",
-	"recorded": "rota_spans_recorded_total",
-	"evicted":  "rota_spans_evicted_total",
-	// server.TwoPhaseCounters
-	"prepares":          "rota_twophase_total",
-	"commits":           "rota_twophase_total",
-	"aborts":            "rota_twophase_total",
-	"leases_expired":    "rota_leases_expired_total",
-	"not_owned_rejects": "rota_not_owned_rejects_total",
-	// cluster.ClusterCounters
-	"forwarded":             "rota_cluster_forwarded_total",
-	"misrouted":             "rota_cluster_misrouted_total",
-	"coordinations":         "rota_cluster_coordinations_total",
-	"coord_admitted":        "rota_cluster_coord_admitted_total",
-	"coord_rejected":        "rota_cluster_coord_rejected_total",
-	"coord_failed":          "rota_cluster_coord_failed_total",
-	"injected_crashes":      "rota_cluster_injected_crashes_total",
-	"migrations":            "rota_cluster_migrations_total",
-	"releases":              "rota_cluster_releases_total",
-	"fanout_queries":        "rota_cluster_fanout_queries_total",
-	"membership_epoch":      "rota_cluster_membership_epoch",
-	"joins":                 "rota_cluster_joins_total",
-	"leaves":                "rota_cluster_leaves_total",
-	"handoffs":              "rota_cluster_handoffs_total",
-	"promotions":            "rota_cluster_promotions_total",
-	"redirects_served":      "rota_cluster_redirects_served_total",
-	"redirects_followed":    "rota_cluster_redirects_followed_total",
-	"table_applies":         "rota_cluster_table_applies_total",
-	"shadow_ships":          "rota_cluster_shadow_ships_total",
-	"shadow_misses":         "rota_cluster_shadow_misses_total",
-	"auto_evictions":        "rota_cluster_auto_evictions_total",
-	"rejoins":               "rota_cluster_rejoins_total",
-	"intent_repairs":        "rota_cluster_intent_repairs_total",
-	"fenced_gossip":         "rota_cluster_fenced_gossip_total",
-	"suspected_peers":       "rota_cluster_suspected_peers",
-	"coord_latency_mean_us": "rota_cluster_coordination_latency_us",
-	"coord_latency_p50_us":  "rota_cluster_coordination_latency_us",
-	"coord_latency_p99_us":  "rota_cluster_coordination_latency_us",
-}
-
-// lintStruct walks a stats struct's exported fields and checks each
-// mapped family exists in the exposition.
-func lintStruct(t *testing.T, e *obs.Exposition, typ reflect.Type, owner string) {
+// The metrics lint: each stat /v1/stats surfaces is defined once, by
+// the metric tag on its field (see obs.CollectStruct). Every JSON-tagged
+// leaf of a stats struct must carry one, every family a tag names must
+// be in the live exposition, and one scrape may not repeat a sample.
+func lintStats(t *testing.T, e *obs.Exposition, typ reflect.Type) {
 	t.Helper()
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		if !f.IsExported() {
-			continue
+		tag, tagged := f.Tag.Lookup("metric")
+		switch key := f.Tag.Get("json"); {
+		case !f.IsExported() || key == "" || key == "-":
+		case !tagged && f.Type.Kind() == reflect.Struct:
+			lintStats(t, e, f.Type)
+		case !tagged:
+			t.Errorf("%s.%s (json %q) has no metric tag", typ, f.Name, key)
+		default:
+			family, ok := strings.CutPrefix(tag, "=")
+			if !ok {
+				_, family, _ = strings.Cut(tag, ",")
+				family, _, _ = strings.Cut(family, ",")
+			}
+			if family, _, _ = strings.Cut(family, "{"); !e.HasFamily(family) {
+				t.Errorf("%s.%s names family %q, which the live exposition does not emit", typ, f.Name, family)
+			}
 		}
-		tag := strings.Split(f.Tag.Get("json"), ",")[0]
-		if tag == "" || tag == "-" {
-			continue
-		}
-		family, ok := statFamilies[tag]
-		if !ok {
-			t.Errorf("%s.%s (json %q) has no exposition family: add one in CollectMetrics and map it in statFamilies", owner, f.Name, tag)
-			continue
-		}
-		if family == recurse {
-			lintStruct(t, e, f.Type, owner+"."+f.Name)
-			continue
-		}
-		if !e.HasFamily(family) {
-			t.Errorf("%s.%s maps to family %q, which the live exposition does not emit", owner, f.Name, family)
+	}
+}
+
+// lintSamples fails on two samples with the same name and label set,
+// which ParseMetrics (and any scraper) would collapse into one.
+func lintSamples(t *testing.T, e *obs.Exposition) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if sp := strings.LastIndexByte(line, ' '); sp > 0 && !strings.HasPrefix(line, "#") {
+			if seen[line[:sp]] {
+				t.Errorf("sample %s appears twice in one scrape", line[:sp])
+			}
+			seen[line[:sp]] = true
 		}
 	}
 }
@@ -185,7 +84,8 @@ func TestMetricsLintServer(t *testing.T) {
 
 	e := obs.NewExposition()
 	srv.CollectMetrics(e)
-	lintStruct(t, e, reflect.TypeOf(server.StatsResponse{}), "server.StatsResponse")
+	lintStats(t, e, reflect.TypeOf(server.StatsResponse{}))
+	lintSamples(t, e)
 }
 
 func TestMetricsLintCluster(t *testing.T) {
@@ -207,8 +107,9 @@ func TestMetricsLintCluster(t *testing.T) {
 	e := obs.NewExposition()
 	nd.CollectMetrics(e)
 	// One cluster scrape must satisfy both layers' stat structs.
-	lintStruct(t, e, reflect.TypeOf(server.StatsResponse{}), "server.StatsResponse")
-	lintStruct(t, e, reflect.TypeOf(cluster.ClusterCounters{}), "cluster.ClusterCounters")
+	lintStats(t, e, reflect.TypeOf(server.StatsResponse{}))
+	lintStats(t, e, reflect.TypeOf(cluster.ClusterCounters{}))
+	lintSamples(t, e)
 }
 
 // The span lint, same spirit as the metrics lint: every span kind must

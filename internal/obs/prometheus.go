@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -140,6 +141,73 @@ func (e *Exposition) Summary(name, help string, labels Labels, s metrics.Histogr
 	f.samples = append(f.samples,
 		sample{suffix: "_sum", labels: labels, value: s.Mean * float64(s.Count)},
 		sample{suffix: "_count", labels: labels, value: float64(s.Count)})
+}
+
+// CollectStruct appends the samples of a stats struct (a /v1/stats
+// snapshot) to the exposition. The struct is each signal's only
+// definition: a field's metric tag names its family next to its JSON
+// tag.
+//
+//	metric:"counter|gauge,<family>[{label=value}],<help>"  numeric field
+//	metric:"summary,<family>,<help>"     metrics.HistogramSummary field
+//	metric:"=<family>"                   value another emitter carries
+//
+// Help may be left off the later members of a labelled family; the
+// first member's help is the family's. Untagged struct fields are
+// walked recursively; other untagged fields are not exposed (the
+// metrics lint rejects them). A malformed tag panics: it is a
+// programming error, and the lint scrapes every stats struct.
+func CollectStruct(e *Exposition, v any) {
+	collectValue(e, reflect.ValueOf(v))
+}
+
+func collectValue(e *Exposition, v reflect.Value) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		tag, tagged := f.Tag.Lookup("metric")
+		switch {
+		case !f.IsExported() || strings.HasPrefix(tag, "="):
+		case !tagged:
+			if f.Type.Kind() == reflect.Struct {
+				collectValue(e, fv)
+			}
+		default:
+			kind, rest, _ := strings.Cut(tag, ",")
+			name, help, _ := strings.Cut(rest, ",") // help may hold commas
+			if name == "" {
+				panic(fmt.Sprintf("obs: %s.%s: metric tag %q names no family", t, f.Name, tag))
+			}
+			var labels Labels
+			if base, lv, ok := strings.Cut(name, "{"); ok {
+				k, val, _ := strings.Cut(strings.TrimSuffix(lv, "}"), "=")
+				name, labels = base, L(k, val)
+			}
+			switch kind {
+			case "counter":
+				e.Counter(name, help, labels, number(fv))
+			case "gauge":
+				e.Gauge(name, help, labels, number(fv))
+			case "summary":
+				e.Summary(name, help, labels, fv.Interface().(metrics.HistogramSummary))
+			default:
+				panic(fmt.Sprintf("obs: %s.%s: unknown metric kind %q", t, f.Name, kind))
+			}
+		}
+	}
+}
+
+// number reads a numeric stats field as a sample value.
+func number(v reflect.Value) float64 {
+	switch {
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanUint():
+		return float64(v.Uint())
+	case v.CanFloat():
+		return v.Float()
+	}
+	panic(fmt.Sprintf("obs: metric field of non-numeric type %s", v.Type()))
 }
 
 // HasFamily reports whether a family was registered (metrics-lint).

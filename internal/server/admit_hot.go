@@ -73,12 +73,12 @@ type hotCounters struct {
 // AdmitHotCounters is the JSON shape of the hot-path counters for
 // /v1/stats.
 type AdmitHotCounters struct {
-	Batches        uint64 `json:"batches"`
-	BatchedJobs    uint64 `json:"batched_jobs"`
-	PlanRetries    uint64 `json:"plan_retries"`
-	PlanFallbacks  uint64 `json:"plan_fallbacks"`
-	FreePatches    uint64 `json:"free_patches"`
-	FreeRecomputes uint64 `json:"free_recomputes"`
+	Batches        uint64 `json:"batches" metric:"counter,rota_admit_batches_total,Admission batches executed on the hot path."`
+	BatchedJobs    uint64 `json:"batched_jobs" metric:"counter,rota_admit_batched_jobs_total,Jobs decided through the admission batch path."`
+	PlanRetries    uint64 `json:"plan_retries" metric:"counter,rota_admit_plan_retries_total,Optimistic plans re-run after a validation conflict."`
+	PlanFallbacks  uint64 `json:"plan_fallbacks" metric:"counter,rota_admit_plan_fallbacks_total,Jobs that exhausted optimistic retries and planned under the shard locks."`
+	FreePatches    uint64 `json:"free_patches" metric:"counter,rota_free_view_patches_total,Incremental free-view cache patches applied."`
+	FreeRecomputes uint64 `json:"free_recomputes" metric:"counter,rota_free_view_recomputes_total,Full free-view recomputes (theta minus reserved)."`
 }
 
 // AdmitHot returns the admission hot-path counters.

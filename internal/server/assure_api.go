@@ -12,9 +12,9 @@ import (
 
 // BuildInfo identifies the running binary on /v1/stats.
 type BuildInfo struct {
-	GoVersion string `json:"go_version"`
-	Module    string `json:"module_path"`
-	Version   string `json:"module_version"`
+	GoVersion string `json:"go_version" metric:"=rota_build_info"`
+	Module    string `json:"module_path" metric:"=rota_build_info"`
+	Version   string `json:"module_version" metric:"=rota_build_info"`
 }
 
 var (

@@ -328,33 +328,33 @@ type advanceRequest struct {
 
 // StatsResponse is the digest returned by GET /v1/stats.
 type StatsResponse struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	UptimeSeconds float64 `json:"uptime_seconds" metric:"gauge,rota_uptime_seconds,Seconds since the daemon started."`
 	// Build identifies the running binary so dashboards can detect
 	// restarts and version skew across a cluster.
 	Build BuildInfo `json:"build"`
-	Now   int64     `json:"now"`
+	Now   int64     `json:"now" metric:"gauge,rota_ledger_now,The ledger clock, in ticks."`
 	// LedgerEpoch is the ledger's mutation epoch (also under query.epoch;
 	// surfaced at the top level so restart detection needs one field).
-	LedgerEpoch uint64 `json:"ledger_epoch"`
-	Shards      int    `json:"shards"`
-	Commitments int    `json:"commitments"`
+	LedgerEpoch uint64 `json:"ledger_epoch" metric:"gauge,rota_ledger_epoch,Ledger mutation epoch; every bump re-evaluates the standing queries."`
+	Shards      int    `json:"shards" metric:"gauge,rota_ledger_shards,Location shards in the live ledger."`
+	Commitments int    `json:"commitments" metric:"gauge,rota_ledger_commitments,Live admitted commitments."`
 
 	// Decisions = Admitted + Rejected, always.
-	Decisions uint64 `json:"decisions"`
-	Admitted  uint64 `json:"admitted"`
-	Rejected  uint64 `json:"rejected"`
-	Released  uint64 `json:"released"`
-	Errors    uint64 `json:"errors"`
-	TimedOut  uint64 `json:"timed_out"`
+	Decisions uint64 `json:"decisions" metric:"counter,rota_decisions_total,Admission verdicts reached (admitted + rejected)."`
+	Admitted  uint64 `json:"admitted" metric:"counter,rota_admitted_total,Jobs admitted with a reserved witness plan."`
+	Rejected  uint64 `json:"rejected" metric:"counter,rota_rejected_total,Jobs refused by the Theorem-4 check."`
+	Released  uint64 `json:"released" metric:"counter,rota_released_total,Commitments released via the API."`
+	Errors    uint64 `json:"errors" metric:"counter,rota_errors_total,Requests that failed before a verdict."`
+	TimedOut  uint64 `json:"timed_out" metric:"counter,rota_timeouts_total,Admissions that exceeded the decision deadline."`
 
 	// QueueDepth and InFlight are point-in-time gauges of the decision
 	// slots: admissions waiting for a slot and admissions holding one.
-	QueueDepth int64 `json:"queue_depth"`
-	InFlight   int64 `json:"in_flight"`
+	QueueDepth int64 `json:"queue_depth" metric:"gauge,rota_queue_depth,Admissions waiting for a decision slot."`
+	InFlight   int64 `json:"in_flight" metric:"gauge,rota_inflight_decisions,Admissions holding a decision slot (deciding)."`
 
 	// Holds counts live leased two-phase holds; TwoPhase digests the
 	// federation traffic this node served as a participant.
-	Holds    int              `json:"holds"`
+	Holds    int              `json:"holds" metric:"gauge,rota_ledger_holds,Live leased two-phase holds."`
 	TwoPhase TwoPhaseCounters `json:"two_phase"`
 
 	// AdmitHot digests the admission hot path: batching, optimistic
@@ -363,7 +363,7 @@ type StatsResponse struct {
 
 	// DecisionLatencyUS digests decision service time once a slot is
 	// held (ledger + policy) in microseconds.
-	DecisionLatencyUS LatencyStats `json:"decision_latency_us"`
+	DecisionLatencyUS metrics.HistogramSummary `json:"decision_latency_us" metric:"summary,rota_decision_latency_us,Decision service time once a slot is held (ledger + policy) in microseconds."`
 
 	// Spans digests the span store: ring-buffer bound, live records, and
 	// the recorded/evicted totals that prove the store stays bounded.
@@ -386,29 +386,14 @@ type StatsResponse struct {
 // QueryStats digests the temporal-query layer for /v1/stats.
 type QueryStats struct {
 	// Queries counts one-shot query evaluations served.
-	Queries uint64 `json:"queries"`
+	Queries uint64 `json:"queries" metric:"counter,rota_queries_total,One-shot temporal queries evaluated."`
 	// Epoch is the ledger's mutation epoch; every bump re-evaluates the
 	// standing queries.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64 `json:"epoch" metric:"=rota_ledger_epoch"`
 	// Subs digests the subscription manager.
 	Subs query.ManagerStats `json:"subscriptions"`
 	// LatencyUS digests one-shot query evaluation time in microseconds.
-	LatencyUS LatencyStats `json:"query_latency_us"`
-}
-
-// LatencyStats is the JSON shape of a histogram summary.
-type LatencyStats struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func latencyStats(s metrics.HistogramSummary) LatencyStats {
-	return LatencyStats{Count: s.Count, Mean: s.Mean, Min: s.Min, Max: s.Max, P50: s.P50, P90: s.P90, P99: s.P99}
+	LatencyUS metrics.HistogramSummary `json:"query_latency_us" metric:"summary,rota_query_latency_us,One-shot query evaluation time in microseconds."`
 }
 
 // DecodeAdmitRequest decodes and validates one job from an admit body.
@@ -642,13 +627,13 @@ func (s *Server) Stats() StatsResponse {
 		Holds:             s.ledger.NumHolds(),
 		TwoPhase:          s.ledger.TwoPhase(),
 		AdmitHot:          s.ledger.AdmitHot(),
-		DecisionLatencyUS: latencyStats(s.latencyUS.Summary()),
+		DecisionLatencyUS: s.latencyUS.Summary(),
 		Spans:             s.cfg.Spans.Stats(),
 		Query: QueryStats{
 			Queries:   s.queryCount.Load(),
 			Epoch:     s.ledger.Epoch(),
 			Subs:      s.queries.Stats(),
-			LatencyUS: latencyStats(s.queryLatencyUS.Summary()),
+			LatencyUS: s.queryLatencyUS.Summary(),
 		},
 		Assure:    s.cfg.Assure.Stats(),
 		FlightRec: s.cfg.FlightRec.Stats(),

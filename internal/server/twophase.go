@@ -331,11 +331,11 @@ func (l *Ledger) NumHolds() int {
 
 // TwoPhaseCounters is the ledger's federation traffic digest.
 type TwoPhaseCounters struct {
-	Prepares        uint64 `json:"prepares"`
-	Commits         uint64 `json:"commits"`
-	Aborts          uint64 `json:"aborts"`
-	LeasesExpired   uint64 `json:"leases_expired"`
-	NotOwnedRejects uint64 `json:"not_owned_rejects"`
+	Prepares        uint64 `json:"prepares" metric:"counter,rota_twophase_total{op=prepare},Two-phase participant operations served, by op."`
+	Commits         uint64 `json:"commits" metric:"counter,rota_twophase_total{op=commit}"`
+	Aborts          uint64 `json:"aborts" metric:"counter,rota_twophase_total{op=abort}"`
+	LeasesExpired   uint64 `json:"leases_expired" metric:"counter,rota_leases_expired_total,Prepared holds reclaimed by the lease-expiry sweep."`
+	NotOwnedRejects uint64 `json:"not_owned_rejects" metric:"counter,rota_not_owned_rejects_total,Requests naming locations this node does not own."`
 }
 
 // TwoPhase returns the federation traffic counters.
