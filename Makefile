@@ -11,9 +11,9 @@ GO ?= go
 # gossip receipt, fault-injection transport under concurrent RPCs).
 RACE_PKGS = ./internal/server/ ./internal/cluster/ ./internal/membership/ ./internal/query/ ./internal/obs/ ./internal/obs/span/ ./internal/metrics/ ./internal/admission/ ./internal/core/ ./internal/schedule/ ./internal/health/ ./internal/fault/ ./cmd/rotad/
 
-.PHONY: ci fmt vet build test race metrics-lint bench-gate selftest cluster-selftest trace-selftest query-selftest chaos-selftest assure-selftest bench clean
+.PHONY: ci fmt vet build test race fuzz-smoke metrics-lint bench-gate selftest cluster-selftest trace-selftest query-selftest chaos-selftest assure-selftest bench clean
 
-ci: fmt vet build test race metrics-lint bench-gate trace-selftest query-selftest chaos-selftest assure-selftest
+ci: fmt vet build test race fuzz-smoke metrics-lint bench-gate trace-selftest query-selftest chaos-selftest assure-selftest
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -31,6 +31,12 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# Differential fuzzing of the resource-profile algebra: the one-pass merge
+# walk against the sort-sweep oracle it replaced. Plain `go test` runs only
+# the seed corpus; this spends ten seconds searching for new inputs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzProfileAlgebra -fuzztime 10s ./internal/resource/
+
 # Fails when a stat field surfaced by /v1/stats has no metric tag, when
 # a tag names a family the live exposition does not emit, when one
 # scrape repeats a sample, or when a span kind or attribute is
@@ -40,9 +46,10 @@ metrics-lint:
 
 # Perf-regression gate: the committed per-PR benchmark ledgers must not
 # drift more than the tolerance between consecutive PRs (same-machine
-# runs; see EXPERIMENTS.md E15).
+# runs; see EXPERIMENTS.md E15). Ledgers that share no benchmark name —
+# recorded at a different GOMAXPROCS — fail it too.
 bench-gate:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR9.json BENCH_PR10.json -tolerance 15%
+	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json BENCH_PR14.json -tolerance 15%
 
 # End-to-end: daemon + ≥1000 requests through the HTTP API.
 selftest:
@@ -88,7 +95,7 @@ chaos-selftest:
 assure-selftest: chaos-selftest
 	$(GO) run ./cmd/rotad -selftest -cluster 3 -requests 400 -clients 4 -locations 6
 
-# Regenerates BENCH_PR10.json at the repo root: every benchmark's
+# Regenerates BENCH_PR14.json at the repo root: every benchmark's
 # ops/sec, ns/op and allocs/op, including the loaded-ledger query
 # benchmarks (E14), the handoff-under-load benchmark (E15), the admit
 # hot-path matrix — now with the promise ledger attached — the assure
@@ -103,8 +110,8 @@ assure-selftest: chaos-selftest
 # concatenated passes compose) — back-to-back suite runs drift enough
 # thermally to produce phantom regressions in untouched packages.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=200ms -count=5 -run '^$$' ./... | $(GO) run ./cmd/benchjson > BENCH_PR10.json
-	@cat BENCH_PR10.json | head -c 400; echo
+	$(GO) test -bench=. -benchmem -benchtime=200ms -count=5 -run '^$$' ./... | $(GO) run ./cmd/benchjson > BENCH_PR14.json
+	@cat BENCH_PR14.json | head -c 400; echo
 
 clean:
 	$(GO) clean ./...

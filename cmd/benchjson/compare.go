@@ -119,6 +119,13 @@ func runCompare(w io.Writer, oldPath, newPath, tolStr string) int {
 	}
 	fmt.Fprintf(w, "compared %d benchmarks (%s vs %s): %d regressions beyond %.1f%%\n",
 		len(deltas), oldPath, newPath, regressions, tol*100)
+	if len(deltas) == 0 {
+		// Ledgers from machines with different GOMAXPROCS name every
+		// benchmark differently (the -N suffix); a gate that matched
+		// nothing checked nothing.
+		fmt.Fprintln(w, "benchjson: no benchmark is in both ledgers; re-baseline the old one on this machine")
+		return 1
+	}
 	if regressions > 0 {
 		return 1
 	}

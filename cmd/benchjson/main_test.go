@@ -186,3 +186,22 @@ func TestCompareNewOnlyBenchmarksPass(t *testing.T) {
 		t.Errorf("unexpected regression line:\n%s", out)
 	}
 }
+
+// Ledgers that share no benchmark — as when they come from machines
+// with different GOMAXPROCS, whose -N name suffixes differ — fail the
+// gate instead of passing it with nothing compared.
+func TestCompareDisjointLedgersFail(t *testing.T) {
+	old := ledgerFile(t, []Record{
+		{Pkg: "repro/internal/server", Name: "BenchmarkA", NsPerOp: 1000},
+	})
+	new := ledgerFile(t, []Record{
+		{Pkg: "repro/internal/server", Name: "BenchmarkA-2", NsPerOp: 1000},
+	})
+	var buf strings.Builder
+	if code := runCompare(&buf, old, new, "15%"); code != 1 {
+		t.Fatalf("disjoint ledgers: exit %d, want 1\n%s", code, buf.String())
+	}
+	if !strings.Contains(buf.String(), "no benchmark is in both ledgers") {
+		t.Errorf("missing explanation:\n%s", buf.String())
+	}
+}

@@ -4,10 +4,10 @@ import "repro/internal/interval"
 
 // Patch operations: the allocation-light counterparts of Union, Subtract
 // and TrimBefore used on the admission hot path. A "patched" set shares
-// the untouched per-type profiles with its source — safe because every
-// profile operation (add, subtract, merge, clamp) builds fresh segment
-// slices instead of mutating the receiver — so patching a cached free
-// view after a reservation costs O(types touched), not O(whole set).
+// the untouched per-type profiles with its source — safe because no
+// profile operation (add, subtract, merge, clamp) mutates a segment slice
+// it did not just allocate — so patching a cached free view after a
+// reservation costs a map copy plus one merge walk per type touched.
 //
 // The sharing contract: a Set produced by a Patch* method (and the Set it
 // was produced from) must be treated as immutable by callers that hold
@@ -30,47 +30,23 @@ func (s *Set) AddSet(other Set) {
 }
 
 // PatchUnion returns Θ ∪ other, sharing every profile of s that other
-// does not touch. Neither input is mutated.
+// does not touch — and s itself when other is empty. Neither input is
+// mutated.
 func (s Set) PatchUnion(other Set) Set {
 	if len(other.profiles) == 0 {
 		return s
 	}
-	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles)+len(other.profiles))}
-	for lt, p := range s.profiles {
-		out.profiles[lt] = p
-	}
-	for lt, q := range other.profiles {
-		out.profiles[lt] = out.profiles[lt].merge(q)
-	}
-	return out
+	return s.Union(other)
 }
 
 // PatchSubtract returns Θ ∖ other, sharing every profile of s that other
-// does not touch, or ErrInsufficient when the complement is undefined.
-// Neither input is mutated.
+// does not touch — and s itself when other is empty — or ErrInsufficient
+// when the complement is undefined. Neither input is mutated.
 func (s Set) PatchSubtract(other Set) (Set, error) {
 	if len(other.profiles) == 0 {
 		return s, nil
 	}
-	if !s.Dominates(other) {
-		return Set{}, ErrInsufficient
-	}
-	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles))}
-	for lt, p := range s.profiles {
-		out.profiles[lt] = p
-	}
-	for lt, q := range other.profiles {
-		p := out.profiles[lt]
-		for _, seg := range q.segs {
-			p = p.subtract(seg.span, seg.rate)
-		}
-		if p.empty() {
-			delete(out.profiles, lt)
-		} else {
-			out.profiles[lt] = p
-		}
-	}
-	return out, nil
+	return s.Subtract(other)
 }
 
 // TrimmedBefore returns the availability at or after t as a new set,

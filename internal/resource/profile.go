@@ -1,10 +1,6 @@
 package resource
 
-import (
-	"sort"
-
-	"repro/internal/interval"
-)
+import "repro/internal/interval"
 
 // segment is one step of a rate step-function: a constant positive rate
 // over a non-empty interval.
@@ -17,60 +13,140 @@ type segment struct {
 // a single located type: segments are sorted, disjoint, carry positive
 // rates, and adjacent segments with equal rates are merged. The zero value
 // is the everywhere-zero profile.
+//
+// Profiles are immutable: no operation writes to a segment slice it did
+// not just allocate, so sets may share profiles freely (see patch.go).
 type profile struct {
 	segs []segment
 }
 
-// normalizeSegments sorts, splits and merges raw segments (which may
-// overlap — overlapping rates add, per the paper's simplification rule)
-// into normalized form.
-func normalizeSegments(raw []segment) profile {
-	// Event sweep: +rate at each segment start, −rate at each end; walk
-	// boundaries in order, emitting a segment for every stretch with a
-	// positive running rate.
-	type event struct {
-		t     interval.Time
-		delta Rate
-	}
-	events := make([]event, 0, 2*len(raw))
-	for _, s := range raw {
-		if !s.span.Empty() && s.rate != 0 {
-			events = append(events,
-				event{t: s.span.Start, delta: s.rate},
-				event{t: s.span.End, delta: -s.rate})
-		}
-	}
-	if len(events) == 0 {
+// combine returns the normalized profile of a+b, or of max(a−b, 0) when
+// sub is set, for two normalized segment lists. Neither input is
+// mutated. A first walk counts the output so that the result is
+// allocated once, at its exact size.
+func combine(a, b []segment, sub bool) profile {
+	n := mergeWalk(a, b, sub, nil)
+	if n == 0 {
 		return profile{}
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].t < events[j].t })
-	var out []segment
-	var running Rate
-	prev := events[0].t
-	for i := 0; i < len(events); {
-		t := events[i].t
-		if t > prev && running != 0 {
-			if n := len(out); n > 0 && out[n-1].rate == running && out[n-1].span.End == prev {
-				out[n-1].span.End = t
-			} else {
-				out = append(out, segment{span: interval.New(prev, t), rate: running})
-			}
-		}
-		for i < len(events) && events[i].t == t {
-			running += events[i].delta
-			i++
-		}
-		prev = t
-	}
+	out := make([]segment, n)
+	mergeWalk(a, b, sub, out)
 	return profile{segs: out}
 }
 
-// clone returns a deep copy.
-func (p profile) clone() profile {
-	if len(p.segs) == 0 {
-		return profile{}
+// mergeWalk visits the breakpoints of a and b in one forward pass, emitting
+// the normalized segments of a+b (or max(a−b, 0)) and merging equal
+// adjacent ones as it goes. It returns how many segments it emitted and
+// stores them in out unless out is nil.
+func mergeWalk(a, b []segment, sub bool, out []segment) int {
+	var w emitter
+	w.out = out
+	i, j := 0, 0
+	var ha, hb segment // the unconsumed parts of a[i] and b[j]
+	if len(a) > 0 {
+		ha = a[0]
 	}
-	return profile{segs: append([]segment(nil), p.segs...)}
+	if len(b) > 0 {
+		hb = b[0]
+	}
+	for i < len(a) && j < len(b) {
+		// The elementary stretch starting at the earlier head runs to the
+		// first breakpoint of either list after it.
+		var span interval.Interval
+		var rate Rate
+		switch {
+		case ha.span.Start < hb.span.Start:
+			span = interval.New(ha.span.Start, min(ha.span.End, hb.span.Start))
+			rate = ha.rate
+		case hb.span.Start < ha.span.Start:
+			span = interval.New(hb.span.Start, min(hb.span.End, ha.span.Start))
+			if !sub {
+				rate = hb.rate
+			}
+		default:
+			span = interval.New(ha.span.Start, min(ha.span.End, hb.span.End))
+			if sub {
+				rate = max(ha.rate-hb.rate, 0)
+			} else {
+				rate = ha.rate + hb.rate
+			}
+		}
+		if rate > 0 {
+			w.emit(segment{span: span, rate: rate})
+		}
+		// Only a head that started the stretch is consumed by it.
+		if ha.span.Start < span.End {
+			if ha.span.Start = span.End; ha.span.Empty() {
+				if i++; i < len(a) {
+					ha = a[i]
+				}
+			}
+		}
+		if hb.span.Start < span.End {
+			if hb.span.Start = span.End; hb.span.Empty() {
+				if j++; j < len(b) {
+					hb = b[j]
+				}
+			}
+		}
+	}
+	// One list is exhausted; the rest of the other passes through (b's
+	// rest only for a sum). Only its first segment can merge.
+	if i < len(a) {
+		w.emit(ha)
+		w.emitAll(a[i+1:])
+	}
+	if j < len(b) && !sub {
+		w.emit(hb)
+		w.emitAll(b[j+1:])
+	}
+	return w.n
+}
+
+// emitter accumulates normalized segments: it counts them, and stores
+// them too when out is non-nil.
+type emitter struct {
+	out  []segment
+	n    int
+	last segment
+}
+
+// emit adds a positive, non-empty step, extending the last segment
+// instead when the step continues it at the same rate.
+func (w *emitter) emit(s segment) {
+	if w.n > 0 && w.last.rate == s.rate && w.last.span.End == s.span.Start {
+		w.last.span.End = s.span.End
+	} else {
+		w.last = s
+		w.n++
+	}
+	if w.out != nil {
+		w.out[w.n-1] = w.last
+	}
+}
+
+// emitAll ends the walk with already-normalized segments that cannot
+// merge with the last one.
+func (w *emitter) emitAll(segs []segment) {
+	if w.out != nil {
+		copy(w.out[w.n:], segs)
+	}
+	w.n += len(segs)
+}
+
+// firstEndingAfter returns the index of the first segment that ends after
+// tick t (len(segs) when none does).
+func firstEndingAfter(segs []segment, t interval.Time) int {
+	lo, hi := 0, len(segs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if segs[mid].span.End > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // empty reports whether the profile is zero everywhere.
@@ -80,7 +156,7 @@ func (p profile) empty() bool {
 
 // rateAt returns the rate available at tick t.
 func (p profile) rateAt(t interval.Time) Rate {
-	i := sort.Search(len(p.segs), func(i int) bool { return p.segs[i].span.End > t })
+	i := firstEndingAfter(p.segs, t)
 	if i < len(p.segs) && p.segs[i].span.Contains(t) {
 		return p.segs[i].rate
 	}
@@ -92,26 +168,27 @@ func (p profile) rateAt(t interval.Time) Rate {
 // assumes rate > 0.
 func (p profile) add(span interval.Interval, rate Rate) profile {
 	if span.Empty() || rate == 0 {
-		return p.clone()
+		return p
 	}
-	raw := append(append([]segment(nil), p.segs...), segment{span: span, rate: rate})
-	return normalizeSegments(raw)
+	return p.merge(profile{segs: []segment{{span: span, rate: rate}}})
 }
 
 // merge returns the point-wise sum of two profiles (resource-set union
 // restricted to one located type).
 func (p profile) merge(q profile) profile {
-	if q.empty() {
-		return p.clone()
+	switch {
+	case q.empty():
+		return p
+	case p.empty():
+		return q
 	}
-	raw := append(append([]segment(nil), p.segs...), q.segs...)
-	return normalizeSegments(raw)
+	return combine(p.segs, q.segs, false)
 }
 
 // quantity integrates the profile over the window.
 func (p profile) quantity(window interval.Interval) Quantity {
 	var total Quantity
-	for _, s := range p.segs {
+	for _, s := range p.segs[firstEndingAfter(p.segs, window.Start):] {
 		if s.span.Start >= window.End {
 			break
 		}
@@ -130,13 +207,7 @@ func (p profile) minRate(window interval.Interval) Rate {
 	var minSeen Rate
 	first := true
 	cursor := window.Start
-	for _, s := range p.segs {
-		if s.span.End <= cursor {
-			continue
-		}
-		if s.span.Start >= window.End {
-			break
-		}
+	for _, s := range p.segs[firstEndingAfter(p.segs, window.Start):] {
 		if s.span.Start > cursor {
 			return 0 // gap inside the window
 		}
@@ -152,75 +223,94 @@ func (p profile) minRate(window interval.Interval) Rate {
 	return 0 // window extends past the last segment
 }
 
+// coveredFrom reports whether the profile provides at least rate at every
+// tick of the non-empty span, looking at segments from index i on. It
+// also returns the index of the segment covering the span's last tick,
+// where a walk over later, disjoint spans can resume.
+func (p profile) coveredFrom(i int, span interval.Interval, rate Rate) (int, bool) {
+	i += firstEndingAfter(p.segs[i:], span.Start)
+	for cursor := span.Start; ; i++ {
+		if i == len(p.segs) || p.segs[i].span.Start > cursor || p.segs[i].rate < rate {
+			return i, false
+		}
+		if cursor = p.segs[i].span.End; cursor >= span.End {
+			return i, true
+		}
+	}
+}
+
 // covers reports whether the profile provides at least rate at every tick
 // of span.
 func (p profile) covers(span interval.Interval, rate Rate) bool {
 	if span.Empty() || rate <= 0 {
 		return true
 	}
-	return p.minRate(span) >= rate
+	_, ok := p.coveredFrom(0, span, rate)
+	return ok
 }
 
-// subtract removes (span, rate) from the profile. The caller must have
-// verified covers(span, rate); subtract panics otherwise, because a
-// negative resource term is meaningless in the algebra (§III).
-func (p profile) subtract(span interval.Interval, rate Rate) profile {
-	if span.Empty() || rate == 0 {
-		return p.clone()
+// dominates reports whether p ≥ q at every tick, in one forward walk over
+// both profiles.
+func (p profile) dominates(q profile) bool {
+	i := 0
+	for _, s := range q.segs {
+		var ok bool
+		if i, ok = p.coveredFrom(i, s.span, s.rate); !ok {
+			return false
+		}
 	}
-	if !p.covers(span, rate) {
+	return true
+}
+
+// subtract returns p − q. The caller must have verified that p dominates
+// q; subtract panics otherwise, because a negative resource term is
+// meaningless in the algebra (§III).
+func (p profile) subtract(q profile) profile {
+	if !p.dominates(q) {
 		panic("resource: subtract without coverage (negative resource term)")
 	}
-	raw := make([]segment, 0, len(p.segs)+2)
-	for _, s := range p.segs {
-		ov := s.span.Intersect(span)
-		if ov.Empty() {
-			raw = append(raw, s)
-			continue
-		}
-		for _, rest := range s.span.Subtract(span) {
-			raw = append(raw, segment{span: rest, rate: s.rate})
-		}
-		if remain := s.rate - rate; remain > 0 {
-			raw = append(raw, segment{span: ov, rate: remain})
-		}
-	}
-	return normalizeSegments(raw)
+	return p.subtractSaturating(q)
 }
 
-// subtractSaturating removes up to rate over span, clamping each
-// segment's remainder at zero rather than requiring coverage.
-func (p profile) subtractSaturating(span interval.Interval, rate Rate) profile {
-	if span.Empty() || rate <= 0 {
-		return p.clone()
+// subtractSaturating returns max(p − q, 0) at every tick: it removes up
+// to q's rate, clamping each remainder at zero rather than requiring
+// coverage.
+func (p profile) subtractSaturating(q profile) profile {
+	if p.empty() || q.empty() {
+		return p
 	}
-	raw := make([]segment, 0, len(p.segs)+2)
-	for _, s := range p.segs {
-		ov := s.span.Intersect(span)
-		if ov.Empty() {
-			raw = append(raw, s)
-			continue
-		}
-		for _, rest := range s.span.Subtract(span) {
-			raw = append(raw, segment{span: rest, rate: s.rate})
-		}
-		if remain := s.rate - rate; remain > 0 {
-			raw = append(raw, segment{span: ov, rate: remain})
-		}
-	}
-	return normalizeSegments(raw)
+	return combine(p.segs, q.segs, true)
 }
 
-// clamp restricts the profile to a window.
+// within returns the index range [lo, hi) of the segments that overlap
+// the window.
+func (p profile) within(window interval.Interval) (lo, hi int) {
+	if window.Empty() {
+		return 0, 0
+	}
+	lo = firstEndingAfter(p.segs, window.Start)
+	hi = lo
+	for hi < len(p.segs) && p.segs[hi].span.Start < window.End {
+		hi++
+	}
+	return lo, hi
+}
+
+// clamp restricts the profile to a window. A window that already holds
+// the whole profile returns the receiver.
 func (p profile) clamp(window interval.Interval) profile {
-	var raw []segment
-	for _, s := range p.segs {
-		ov := s.span.Intersect(window)
-		if !ov.Empty() {
-			raw = append(raw, segment{span: ov, rate: s.rate})
-		}
+	lo, hi := p.within(window)
+	if lo == hi {
+		return profile{}
 	}
-	return profile{segs: raw}
+	if lo == 0 && hi == len(p.segs) && window.ContainsInterval(p.hull()) {
+		return p
+	}
+	out := make([]segment, hi-lo)
+	copy(out, p.segs[lo:hi])
+	out[0].span = out[0].span.Intersect(window)
+	out[len(out)-1].span = out[len(out)-1].span.Intersect(window)
+	return profile{segs: out}
 }
 
 // support returns the set of ticks where the profile is positive.

@@ -37,14 +37,16 @@ func NewSet(terms ...Term) Set {
 	return s
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy whose mutators (Add, AddSet, Consume, TrimBefore)
+// leave the receiver untouched. Only the map is copied: profiles are
+// immutable, and every mutator replaces a type's profile whole.
 func (s Set) Clone() Set {
 	if len(s.profiles) == 0 {
 		return Set{}
 	}
 	out := Set{profiles: make(map[LocatedType]profile, len(s.profiles))}
 	for lt, p := range s.profiles {
-		out.profiles[lt] = p.clone()
+		out.profiles[lt] = p
 	}
 	return out
 }
@@ -159,11 +161,8 @@ func (s Set) Covers(term Term) bool {
 // or exceeds other at every tick for every located type.
 func (s Set) Dominates(other Set) bool {
 	for lt, q := range other.profiles {
-		p := s.profiles[lt]
-		for _, seg := range q.segs {
-			if !p.covers(seg.span, seg.rate) {
-				return false
-			}
+		if !s.profiles[lt].dominates(q) {
+			return false
 		}
 	}
 	return true
@@ -177,11 +176,7 @@ func (s Set) Subtract(other Set) (Set, error) {
 	}
 	out := s.Clone()
 	for lt, q := range other.profiles {
-		p := out.profiles[lt]
-		for _, seg := range q.segs {
-			p = p.subtract(seg.span, seg.rate)
-		}
-		out.profiles[lt] = p
+		out.replace(lt, out.profiles[lt].subtract(q))
 	}
 	return out, nil
 }
@@ -198,20 +193,21 @@ func (s Set) SubtractTerm(t Term) (Set, error) {
 func (s Set) SubtractSaturating(other Set) Set {
 	out := s.Clone()
 	for lt, q := range other.profiles {
-		p, ok := out.profiles[lt]
-		if !ok {
-			continue
-		}
-		for _, seg := range q.segs {
-			p = p.subtractSaturating(seg.span, seg.rate)
-		}
-		if p.empty() {
-			delete(out.profiles, lt)
-		} else {
-			out.profiles[lt] = p
+		if p, ok := out.profiles[lt]; ok {
+			out.replace(lt, p.subtractSaturating(q))
 		}
 	}
 	return out
+}
+
+// replace stores p as lt's profile, dropping the type when p is empty.
+// The receiver's map must be exclusively owned by the caller.
+func (s Set) replace(lt LocatedType, p profile) {
+	if p.empty() {
+		delete(s.profiles, lt)
+	} else {
+		s.profiles[lt] = p
+	}
 }
 
 // Consume removes rate×span of lt from the set in place. It returns
@@ -225,7 +221,7 @@ func (s *Set) Consume(lt LocatedType, span interval.Interval, rate Rate) error {
 	if !p.covers(span, rate) {
 		return ErrInsufficient
 	}
-	s.profiles[lt] = p.subtract(span, rate)
+	s.replace(lt, p.subtract(profile{segs: []segment{{span: span, rate: rate}}}))
 	return nil
 }
 
@@ -267,6 +263,20 @@ func (s Set) Clamp(window interval.Interval) Set {
 	return out
 }
 
+// EachTermWithin calls fn, in start order, with each normalized term of
+// lt clipped to the window, stopping early when fn returns false. It
+// yields exactly lt's terms of Clamp(window).Terms(), without clamping
+// the other types or allocating.
+func (s Set) EachTermWithin(lt LocatedType, window interval.Interval, fn func(Term) bool) {
+	p := s.profiles[lt]
+	lo, hi := p.within(window)
+	for _, seg := range p.segs[lo:hi] {
+		if !fn(Term{Rate: seg.rate, Type: lt, Span: seg.span.Intersect(window)}) {
+			return
+		}
+	}
+}
+
 // EarliestWindow finds the earliest interval of the given duration,
 // within the given bounds, throughout which lt is available at rate or
 // better — the query a planner asks when placing a constant-rate
@@ -275,26 +285,28 @@ func (s Set) EarliestWindow(lt LocatedType, rate Rate, duration interval.Time, w
 	if duration <= 0 || rate <= 0 {
 		return interval.New(within.Start, within.Start), !within.Empty()
 	}
-	p := s.profiles[lt].clamp(within)
+	var found interval.Interval
 	runStart := interval.Time(0)
 	runEnd := interval.Time(0)
 	inRun := false
-	for _, seg := range p.segs {
-		if seg.rate < rate {
+	s.EachTermWithin(lt, within, func(t Term) bool {
+		if t.Rate < rate {
 			inRun = false
-			continue
+			return true
 		}
-		if inRun && seg.span.Start == runEnd {
-			runEnd = seg.span.End
+		if inRun && t.Span.Start == runEnd {
+			runEnd = t.Span.End
 		} else {
-			runStart, runEnd = seg.span.Start, seg.span.End
+			runStart, runEnd = t.Span.Start, t.Span.End
 			inRun = true
 		}
 		if runEnd-runStart >= duration {
-			return interval.New(runStart, runStart+duration), true
+			found = interval.New(runStart, runStart+duration)
+			return false
 		}
-	}
-	return interval.Interval{}, false
+		return true
+	})
+	return found, !found.Empty()
 }
 
 // Support returns the ticks during which lt is available at all.

@@ -242,17 +242,16 @@ func earliestAllocations(theta resource.Set, lt resource.LocatedType, need resou
 	}
 	var out []resource.Term
 	remaining := need
-	for _, term := range theta.Clamp(window).Terms() {
-		if term.Type != lt {
-			continue
-		}
+	doneAt, done := interval.Time(0), false
+	theta.EachTermWithin(lt, window, func(term resource.Term) bool {
 		capacity := term.Quantity()
 		switch {
 		case capacity < resource.Quantity(term.Rate):
-			continue // defensive; normalized terms always span ≥ 1 tick
+			return true // defensive; normalized terms always span ≥ 1 tick
 		case remaining > capacity:
 			out = append(out, term)
 			remaining -= capacity
+			return true
 		default:
 			// Final segment: take whole ticks at full rate, then the
 			// remainder in one partial-rate tick.
@@ -262,17 +261,21 @@ func earliestAllocations(theta resource.Set, lt resource.LocatedType, need resou
 				out = append(out, resource.NewTerm(term.Rate, lt, span))
 				remaining -= resource.Quantity(term.Rate) * resource.Quantity(wholeTicks)
 			}
-			doneAt := term.Span.Start + wholeTicks
+			doneAt = term.Span.Start + wholeTicks
 			if remaining > 0 {
 				span := interval.New(doneAt, doneAt+1)
 				out = append(out, resource.NewTerm(resource.Rate(remaining), lt, span))
 				doneAt++
 				remaining = 0
 			}
-			return out, doneAt, nil
+			done = true
+			return false
 		}
+	})
+	if !done {
+		return nil, 0, ErrInfeasible
 	}
-	return nil, 0, ErrInfeasible
+	return out, doneAt, nil
 }
 
 // Verify independently checks a plan against the resources and the

@@ -55,12 +55,14 @@ func benchAdmitLoop(b *testing.B, l *Ledger, fpLocs []resource.Location, conc in
 			jobs[g] = triJob(b, name, fpLocs, 0, 1<<20)
 		}
 	}
-	// Pin the heap at a production-shaped size. The loaded-ledger cells
-	// allocate close to 1 MB per decision against ~1 MB of live data, so
-	// at the runtime's small default heap goal the collector runs every
-	// couple of milliseconds and takes ~40% of the wall clock — at which
-	// point the numbers measure how a few hundred KB of live bookkeeping
-	// shifts the GC duty cycle, not what the hot path costs. A real
+	// Pin the heap at a production-shaped size. The 1000-commitment cell
+	// allocates about 107 KB per decision — each admit and release
+	// rebuilds the touched shard profiles, O(segments) apiece — against
+	// ~1 MB of live data, so at the runtime's small default heap goal the
+	// collector runs every few milliseconds and that cell runs ~1.9×
+	// slower without the ballast. The numbers would then measure how a
+	// few hundred KB of live bookkeeping shifts the GC duty cycle, not
+	// what the hot path costs. A real
 	// daemon's heap sits far above the floor, where that sensitivity
 	// vanishes; the ballast (pointer-free, so marking it is free) puts
 	// the benchmark in the same regime. Settle setup garbage before
