@@ -44,12 +44,13 @@ fuzz-smoke:
 metrics-lint:
 	$(GO) test -run 'TestMetricsLint' -count=1 ./internal/obs/
 
-# Perf-regression gate: the committed per-PR benchmark ledgers must not
-# drift more than the tolerance between consecutive PRs (same-machine
-# runs; see EXPERIMENTS.md E15). Ledgers that share no benchmark name —
-# recorded at a different GOMAXPROCS — fail it too.
+# Perf-regression gate: the median ns/op of each benchmark in the
+# committed per-PR ledgers must not drift more than the tolerance between
+# consecutive PRs (same-machine runs; see EXPERIMENTS.md E15, E19).
+# Ledgers that share no benchmark name — recorded at a different
+# GOMAXPROCS — fail it too.
 bench-gate:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json BENCH_PR14.json -tolerance 15%
+	$(GO) run ./cmd/benchjson -compare BENCH_PR13.json BENCH_PR14.json -tolerance 15%
 
 # End-to-end: daemon + ≥1000 requests through the HTTP API.
 selftest:
@@ -100,15 +101,14 @@ assure-selftest: chaos-selftest
 # benchmarks (E14), the handoff-under-load benchmark (E15), the admit
 # hot-path matrix — now with the promise ledger attached — the assure
 # on/off overhead matrix (E18) and the rotaload saturation p50/p99 rows
-# (E17). Three runs per benchmark; benchjson keeps each one's fastest
-# (noise only slows a run down), so the ledger is stable enough for
-# bench-gate. Five runs (up from three): this container's run-to-run
-# jitter on a fixed binary exceeds the gate's 15% tolerance at
-# min-of-3. When re-baselining the *previous* PR's ledger for a
-# comparison, interleave full-suite passes of the two trees (benchjson
-# keeps the per-benchmark min of everything on its stdin, so
-# concatenated passes compose) — back-to-back suite runs drift enough
-# thermally to produce phantom regressions in untouched packages.
+# (E17). Five runs per benchmark; benchjson keeps each one's fastest
+# run and the median of all of them, and bench-gate compares medians.
+# When re-baselining the *previous* PR's ledger for a comparison,
+# interleave full-suite passes of the two trees, flipping which tree
+# goes first on every pair, and pipe each tree's concatenated passes
+# through benchjson (it reads every run on its stdin) — back-to-back
+# suite runs drift enough thermally to produce phantom regressions in
+# untouched packages.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=200ms -count=5 -run '^$$' ./... | $(GO) run ./cmd/benchjson > BENCH_PR14.json
 	@cat BENCH_PR14.json | head -c 400; echo

@@ -67,9 +67,10 @@ func compare(old, new map[string]Record, tolerance float64) (deltas []delta, onl
 			onlyOld = append(onlyOld, key)
 			continue
 		}
-		d := delta{Key: key, OldNs: o.NsPerOp, NewNs: n.NsPerOp}
-		if o.NsPerOp > 0 {
-			d.Ratio = n.NsPerOp / o.NsPerOp
+		d := delta{Key: key}
+		d.OldNs, d.NewNs = gateNs(o, n)
+		if d.OldNs > 0 {
+			d.Ratio = d.NewNs / d.OldNs
 			d.Regress = d.Ratio > 1+tolerance
 		}
 		deltas = append(deltas, d)
@@ -83,6 +84,18 @@ func compare(old, new map[string]Record, tolerance float64) (deltas []delta, onl
 	sort.Strings(onlyOld)
 	sort.Strings(onlyNew)
 	return deltas, onlyOld, onlyNew
+}
+
+// gateNs returns the ns/op the gate compares for one benchmark: the
+// median over each ledger's runs. A minimum is set by the single luckiest
+// run, so on a shared machine one fast pass in the old ledger fails code
+// that did not change; the median moves only when most runs do. Ledgers
+// recorded before medians were kept fall back to the minimum.
+func gateNs(o, n Record) (oldNs, newNs float64) {
+	if o.MedianNsPerOp > 0 && n.MedianNsPerOp > 0 {
+		return o.MedianNsPerOp, n.MedianNsPerOp
+	}
+	return o.NsPerOp, n.NsPerOp
 }
 
 // runCompare is the -compare entry point; returns the process exit code.

@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // JSON array on stdout — one record per benchmark with its package,
-// iteration count, ns/op, derived ops/sec, and (under -benchmem)
-// B/op and allocs/op. The Makefile's bench target pipes through it to
+// iteration count, ns/op, derived ops/sec, the median ns/op over its
+// repeated runs, and (under -benchmem) B/op and allocs/op. The Makefile's bench target pipes through it to
 // regenerate the BENCH_PR*.json perf ledger at the repo root.
 //
 // With -compare OLD.json NEW.json it instead gates the two committed
 // ledgers against each other: any benchmark present in both whose
-// ns/op grew beyond -tolerance (default 15%) fails the run. `make ci`
+// median ns/op grew beyond -tolerance (default 15%) fails the run. `make ci`
 // uses this to catch perf regressions between PRs.
 package main
 
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,6 +31,9 @@ type Record struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// MedianNsPerOp is the median ns/op over every run of the benchmark
+	// on the input; -compare gates on it (see gateNs).
+	MedianNsPerOp float64 `json:"median_ns_per_op,omitempty"`
 	// Extra holds custom b.ReportMetric units (e.g. the saturation
 	// benchmark's p50-us / p99-us latency rows), keyed by unit. Only
 	// ns/op gates -compare; extras are informational.
@@ -77,13 +81,14 @@ func main() {
 
 // parse scans benchmark lines, tracking the current "pkg:" header so
 // each record knows which package it came from. Repeated runs of the
-// same benchmark (go test -count=N) collapse to the run with the lowest
-// ns/op: the minimum is the standard noise-robust statistic — scheduler
-// and GC interference only ever slow a run down — and it keeps the
-// committed ledgers stable enough for the -compare tolerance gate.
+// same benchmark (go test -count=N, or concatenated suite passes)
+// collapse to the run with the lowest ns/op — scheduler and GC
+// interference only ever slow a run down — and record the median ns/op
+// of all the runs, which is what -compare gates on.
 func parse(r io.Reader) ([]Record, error) {
 	recs := []Record{}
 	index := map[string]int{} // pkg+name -> position in recs
+	runs := [][]float64{}     // every ns/op seen, by position in recs
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -133,6 +138,7 @@ func parse(r io.Reader) ([]Record, error) {
 		}
 		key := rec.Pkg + " " + rec.Name
 		if at, seen := index[key]; seen {
+			runs[at] = append(runs[at], rec.NsPerOp)
 			if rec.NsPerOp < recs[at].NsPerOp {
 				recs[at] = rec
 			}
@@ -140,6 +146,11 @@ func parse(r io.Reader) ([]Record, error) {
 		}
 		index[key] = len(recs)
 		recs = append(recs, rec)
+		runs = append(runs, []float64{rec.NsPerOp})
+	}
+	for i, ns := range runs {
+		sort.Float64s(ns)
+		recs[i].MedianNsPerOp = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
 	}
 	return recs, sc.Err()
 }

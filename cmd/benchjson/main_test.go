@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -203,5 +204,32 @@ func TestCompareDisjointLedgersFail(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no benchmark is in both ledgers") {
 		t.Errorf("missing explanation:\n%s", buf.String())
+	}
+}
+
+// The gate compares medians, so one outlier pass on the old side does
+// not fail unchanged code, while a slowdown of most runs still does.
+func TestCompareGatesOnMedian(t *testing.T) {
+	ledger := func(runs ...float64) string {
+		in := "pkg: repro/internal/interval\n"
+		for _, ns := range runs {
+			in += fmt.Sprintf("BenchmarkRelationBetween-2   1000000   %g ns/op\n", ns)
+		}
+		recs, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ledgerFile(t, recs)
+	}
+	old := ledger(6.0, 4.8, 6.2, 5.9, 6.1) // one lucky run at 4.8
+	same := ledger(6.1, 6.0, 5.9, 6.2, 6.0)
+	slower := ledger(7.2, 7.1, 7.3, 5.0, 7.4) // most runs +20%, one lucky
+	var buf strings.Builder
+	if code := runCompare(&buf, old, same, "15%"); code != 0 {
+		t.Fatalf("one lucky old run failed unchanged code: exit %d\n%s", code, buf.String())
+	}
+	buf.Reset()
+	if code := runCompare(&buf, old, slower, "15%"); code != 1 {
+		t.Fatalf("most runs 20%% slower passed the gate: exit %d\n%s", code, buf.String())
 	}
 }

@@ -21,26 +21,14 @@ type profile struct {
 }
 
 // combine returns the normalized profile of a+b, or of max(a−b, 0) when
-// sub is set, for two normalized segment lists. Neither input is
-// mutated. A first walk counts the output so that the result is
-// allocated once, at its exact size.
+// sub is set, for two normalized segment lists, in one forward pass over
+// their breakpoints that merges equal adjacent segments as it goes.
+// Neither input is mutated. The result starts with room for both
+// inputs' segments plus two: enough for taking away one step, or adding
+// one over a stretch without gaps, so those changes — the admission hot
+// path — allocate once. Other shapes may grow it.
 func combine(a, b []segment, sub bool) profile {
-	n := mergeWalk(a, b, sub, nil)
-	if n == 0 {
-		return profile{}
-	}
-	out := make([]segment, n)
-	mergeWalk(a, b, sub, out)
-	return profile{segs: out}
-}
-
-// mergeWalk visits the breakpoints of a and b in one forward pass, emitting
-// the normalized segments of a+b (or max(a−b, 0)) and merging equal
-// adjacent ones as it goes. It returns how many segments it emitted and
-// stores them in out unless out is nil.
-func mergeWalk(a, b []segment, sub bool, out []segment) int {
-	var w emitter
-	w.out = out
+	out := make([]segment, 0, len(a)+len(b)+2)
 	i, j := 0, 0
 	var ha, hb segment // the unconsumed parts of a[i] and b[j]
 	if len(a) > 0 {
@@ -72,7 +60,7 @@ func mergeWalk(a, b []segment, sub bool, out []segment) int {
 			}
 		}
 		if rate > 0 {
-			w.emit(segment{span: span, rate: rate})
+			out = appendStep(out, segment{span: span, rate: rate})
 		}
 		// Only a head that started the stretch is consumed by it.
 		if ha.span.Start < span.End {
@@ -93,45 +81,25 @@ func mergeWalk(a, b []segment, sub bool, out []segment) int {
 	// One list is exhausted; the rest of the other passes through (b's
 	// rest only for a sum). Only its first segment can merge.
 	if i < len(a) {
-		w.emit(ha)
-		w.emitAll(a[i+1:])
+		out = append(appendStep(out, ha), a[i+1:]...)
 	}
 	if j < len(b) && !sub {
-		w.emit(hb)
-		w.emitAll(b[j+1:])
+		out = append(appendStep(out, hb), b[j+1:]...)
 	}
-	return w.n
+	if len(out) == 0 {
+		return profile{}
+	}
+	return profile{segs: out}
 }
 
-// emitter accumulates normalized segments: it counts them, and stores
-// them too when out is non-nil.
-type emitter struct {
-	out  []segment
-	n    int
-	last segment
-}
-
-// emit adds a positive, non-empty step, extending the last segment
+// appendStep adds a positive, non-empty step, extending the last segment
 // instead when the step continues it at the same rate.
-func (w *emitter) emit(s segment) {
-	if w.n > 0 && w.last.rate == s.rate && w.last.span.End == s.span.Start {
-		w.last.span.End = s.span.End
-	} else {
-		w.last = s
-		w.n++
+func appendStep(out []segment, s segment) []segment {
+	if n := len(out); n > 0 && out[n-1].rate == s.rate && out[n-1].span.End == s.span.Start {
+		out[n-1].span.End = s.span.End
+		return out
 	}
-	if w.out != nil {
-		w.out[w.n-1] = w.last
-	}
-}
-
-// emitAll ends the walk with already-normalized segments that cannot
-// merge with the last one.
-func (w *emitter) emitAll(segs []segment) {
-	if w.out != nil {
-		copy(w.out[w.n:], segs)
-	}
-	w.n += len(segs)
+	return append(out, s)
 }
 
 // firstEndingAfter returns the index of the first segment that ends after

@@ -56,10 +56,10 @@ func benchAdmitLoop(b *testing.B, l *Ledger, fpLocs []resource.Location, conc in
 		}
 	}
 	// Pin the heap at a production-shaped size. The 1000-commitment cell
-	// allocates about 107 KB per decision — each admit and release
+	// allocates about 118 KB per decision — each admit and release
 	// rebuilds the touched shard profiles, O(segments) apiece — against
 	// ~1 MB of live data, so at the runtime's small default heap goal the
-	// collector runs every few milliseconds and that cell runs ~1.9×
+	// collector runs every few milliseconds and that cell runs ~2.3×
 	// slower without the ballast. The numbers would then measure how a
 	// few hundred KB of live bookkeeping shifts the GC duty cycle, not
 	// what the hot path costs. A real
